@@ -2,13 +2,20 @@
 //!
 //! The device owns the backing store and a set of internal channels.
 //! Commands arrive through per-queue-pair submission rings; ringing the
-//! doorbell consumes the SQ, assigns each command to the earliest-free
-//! channel, and samples a service time from the profile. Serviced
-//! commands sit *in flight* until their completion instant, at which
-//! point [`NvmeDevice::post_ready`] moves them onto the completion ring
-//! (with real data for reads); the host's interrupt handler drains the
-//! CQ with [`NvmeDevice::reap`]. The kernel decides *when* the
-//! interrupt fires (coalescing is host policy, not device policy).
+//! doorbell services the SQ in place, assigning each command to the
+//! earliest-free channel and sampling a service time from the profile.
+//! Serviced commands sit *in flight*, kept sorted by completion instant
+//! as they are inserted, until [`NvmeDevice::post_ready`] moves the due
+//! ones onto the completion ring (with real data for reads); the host's
+//! interrupt handler drains the CQ with [`NvmeDevice::reap`]. The
+//! kernel decides *when* the interrupt fires (coalescing is host
+//! policy, not device policy).
+//!
+//! The SQ and CQ are [`Ring`]s: NVMe capacity rules over storage that
+//! grows with the occupancy a queue pair actually sees, not its
+//! configured depth. The doorbell and reap entry points append to
+//! caller-owned buffers, so the per-I/O path allocates nothing but the
+//! read payload.
 //!
 //! The model captures what the paper's evaluation depends on:
 //!
@@ -161,8 +168,8 @@ struct QueuePair {
     sq: Ring<NvmeCommand>,
     cq: Ring<NvmeCompletion>,
     /// Serviced commands whose completion instant has not been posted
-    /// to the CQ yet, kept sorted by `complete_at` (stable, so ties
-    /// preserve service order).
+    /// to the CQ yet, kept sorted by `complete_at` on insertion (at the
+    /// upper bound of equal instants, so ties preserve service order).
     inflight: Vec<NvmeCompletion>,
     /// Commands admitted but not yet reaped (SQ + inflight + CQ). This
     /// is the driver's tag budget: it caps at ring capacity.
@@ -272,29 +279,40 @@ impl NvmeDevice {
         Ok(())
     }
 
-    /// Rings the doorbell for queue pair `qp` at time `now`: consumes
-    /// every queued command, assigns channels and service times, and
-    /// returns the completion instants (in service order). The serviced
-    /// commands stay in flight until [`NvmeDevice::post_ready`] moves
-    /// them to the completion ring.
+    /// Rings the doorbell for queue pair `qp` at time `now`: services
+    /// every queued command, assigning channels and service times, and
+    /// appends their completion instants (in service order) to `times`.
+    /// The serviced commands stay in flight until
+    /// [`NvmeDevice::post_ready`] moves them to the completion ring.
     ///
     /// # Errors
     ///
     /// [`QueueError::NoSuchQueue`] for bad ids.
-    pub fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<Vec<Nanos>, QueueError> {
+    pub fn ring_doorbell(
+        &mut self,
+        now: Nanos,
+        qp: QueuePairId,
+        times: &mut Vec<Nanos>,
+    ) -> Result<(), QueueError> {
         let q = self.queues.get_mut(qp).ok_or(QueueError::NoSuchQueue)?;
-        let cmds = q.sq.drain_all();
+        // The SQ is lent out for the batch (an empty ring allocates
+        // nothing) and handed back drained, storage intact.
+        let mut sq = std::mem::replace(&mut q.sq, Ring::new(self.profile.queue_depth));
         self.stats.doorbells += 1;
-        if cmds.iter().any(|c| !matches!(c.op, NvmeOp::Read { .. })) {
+        let mut writes = false;
+        while let Some(cmd) = sq.pop() {
+            writes |= !matches!(cmd.op, NvmeOp::Read { .. });
+            let c = self.service(now, qp, cmd);
+            times.push(c.complete_at);
+            let inflight = &mut self.queues[qp].inflight;
+            let at = inflight.partition_point(|x| x.complete_at <= c.complete_at);
+            inflight.insert(at, c);
+        }
+        if writes {
             self.stats.write_doorbells += 1;
         }
-        let mut done = Vec::with_capacity(cmds.len());
-        for cmd in cmds {
-            done.push(self.service(now, qp, cmd));
-        }
-        let times = done.iter().map(|c| c.complete_at).collect();
-        self.queues[qp].inflight.extend(done);
-        Ok(times)
+        self.queues[qp].sq = sq;
+        Ok(())
     }
 
     /// Posts every in-flight completion whose instant has passed onto
@@ -305,9 +323,6 @@ impl NvmeDevice {
         let Some(q) = self.queues.get_mut(qp) else {
             return 0;
         };
-        // Stable sort keeps service order on ties; the list is sorted
-        // runs appended per doorbell, so this is near-linear.
-        q.inflight.sort_by_key(|c| c.complete_at);
         let ready = q.inflight.partition_point(|c| c.complete_at <= now);
         let free = q.cq.capacity() - q.cq.len();
         let take = ready.min(free);
@@ -319,14 +334,23 @@ impl NvmeDevice {
         take
     }
 
-    /// Drains up to `max` entries from the completion ring (the IRQ
-    /// handler's reap loop), freeing their queue slots.
-    pub fn reap(&mut self, qp: QueuePairId, max: usize) -> Vec<NvmeCompletion> {
+    /// Drains up to `max` entries from the completion ring at time
+    /// `now` (the IRQ handler's or poller's reap loop), appending them
+    /// to `out` and freeing their queue slots. Accounts each drained
+    /// CQE's doorbell→reap gap in [`DeviceStats::reap_lag_ns`]. Returns
+    /// how many entries were drained.
+    pub fn reap(
+        &mut self,
+        now: Nanos,
+        qp: QueuePairId,
+        max: usize,
+        out: &mut Vec<NvmeCompletion>,
+    ) -> usize {
         let Some(q) = self.queues.get_mut(qp) else {
-            return Vec::new();
+            return 0;
         };
-        let mut out = Vec::new();
-        while out.len() < max {
+        let start = out.len();
+        while out.len() - start < max {
             match q.cq.pop() {
                 Some(c) => {
                     q.outstanding -= 1;
@@ -335,26 +359,18 @@ impl NvmeDevice {
                 None => break,
             }
         }
-        if !out.is_empty() {
+        let reaped = &out[start..];
+        if !reaped.is_empty() {
             self.stats.irqs += 1;
-            self.stats.cqes += out.len() as u64;
-            self.stats.write_cqes += out
-                .iter()
-                .filter(|c| !matches!(c.kind, CmdKind::Read))
-                .count() as u64;
+            self.stats.cqes += reaped.len() as u64;
+            for c in reaped {
+                if !matches!(c.kind, CmdKind::Read) {
+                    self.stats.write_cqes += 1;
+                }
+                self.stats.reap_lag_ns += now.saturating_sub(c.rang_at);
+            }
         }
-        out
-    }
-
-    /// Like [`NvmeDevice::reap`], but also accounts the doorbell→reap
-    /// gap of each drained CQE at host-visible time `now` (the polled /
-    /// interrupt reaper's entry point).
-    pub fn reap_at(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> Vec<NvmeCompletion> {
-        let out = self.reap(qp, max);
-        for c in &out {
-            self.stats.reap_lag_ns += now.saturating_sub(c.rang_at);
-        }
-        out
+        reaped.len()
     }
 
     /// Records one poll-loop iteration that found the CQ empty.
@@ -450,8 +466,8 @@ impl NvmeDevice {
             *c = 0;
         }
         for q in &mut self.queues {
-            q.sq.drain_all();
-            q.cq.drain_all();
+            q.sq.clear();
+            q.cq.clear();
             q.inflight.clear();
             q.outstanding = 0;
         }
@@ -496,15 +512,30 @@ mod tests {
         }
     }
 
+    /// Rings queue pair 0's doorbell at `now`; returns the batch's
+    /// completion instants.
+    fn bell(d: &mut NvmeDevice, now: Nanos) -> Vec<Nanos> {
+        let mut times = Vec::new();
+        d.ring_doorbell(now, 0, &mut times).expect("doorbell");
+        times
+    }
+
+    /// Reaps everything posted on queue pair 0 at `now`.
+    fn reap_all(d: &mut NvmeDevice, now: Nanos) -> Vec<NvmeCompletion> {
+        let mut out = Vec::new();
+        let n = d.reap(now, 0, usize::MAX, &mut out);
+        assert_eq!(n, out.len());
+        out
+    }
+
     /// Submit one command, ring the doorbell, and reap its completion
     /// (posting at its completion instant) — the old synchronous path,
     /// spelled through the queued API.
     fn submit_ring_reap(d: &mut NvmeDevice, now: Nanos, cmd: NvmeCommand) -> NvmeCompletion {
         d.submit(0, cmd).expect("submit");
-        let times = d.ring_doorbell(now, 0).expect("doorbell");
-        let t = *times.last().expect("serviced");
+        let t = *bell(d, now).last().expect("serviced");
         d.post_ready(t, 0);
-        d.reap(0, usize::MAX).pop().expect("cqe")
+        reap_all(d, t).pop().expect("cqe")
     }
 
     #[test]
@@ -543,14 +574,14 @@ mod tests {
         for i in 0..3 {
             d.submit(0, read_cmd(i, i)).expect("enqueue");
         }
-        let times = d.ring_doorbell(0, 0).expect("doorbell");
+        let times = bell(&mut d, 0);
         assert_eq!(times, vec![500, 500, 1_000]);
         // Nothing is visible before its completion instant.
         assert_eq!(d.post_ready(499, 0), 0);
         assert_eq!(d.cq_backlog(0), 0);
         // The two channel-parallel completions post together...
         assert_eq!(d.post_ready(500, 0), 2);
-        let first = d.reap(0, usize::MAX);
+        let first = reap_all(&mut d, 0);
         assert_eq!(
             first.iter().map(|c| c.cid).collect::<Vec<_>>(),
             vec![0, 1],
@@ -558,7 +589,7 @@ mod tests {
         );
         // ...and the queued third posts at its own instant.
         assert_eq!(d.post_ready(1_000, 0), 1);
-        assert_eq!(d.reap(0, usize::MAX)[0].cid, 2);
+        assert_eq!(reap_all(&mut d, 0)[0].cid, 2);
     }
 
     #[test]
@@ -585,7 +616,7 @@ mod tests {
         for i in 0..7 {
             d.submit(0, read_cmd(i, i)).expect("fits");
         }
-        d.ring_doorbell(0, 0).expect("doorbell");
+        bell(&mut d, 0);
         assert_eq!(d.outstanding(0), 7, "in flight still holds slots");
         assert_eq!(
             d.submit(0, read_cmd(8, 0)),
@@ -593,7 +624,7 @@ mod tests {
             "no tag free before a reap"
         );
         d.post_ready(1_000, 0);
-        let reaped = d.reap(0, usize::MAX);
+        let reaped = reap_all(&mut d, 0);
         assert_eq!(reaped.len(), 7);
         assert_eq!(d.outstanding(0), 0);
         d.submit(0, read_cmd(8, 0))
@@ -607,7 +638,10 @@ mod tests {
             d.submit(3, read_cmd(0, 0)).unwrap_err(),
             QueueError::NoSuchQueue
         );
-        assert_eq!(d.ring_doorbell(0, 3).unwrap_err(), QueueError::NoSuchQueue);
+        assert_eq!(
+            d.ring_doorbell(0, 3, &mut Vec::new()).unwrap_err(),
+            QueueError::NoSuchQueue
+        );
     }
 
     #[test]
@@ -678,9 +712,9 @@ mod tests {
         for i in 0..4 {
             d.submit(0, read_cmd(i, i)).expect("fits");
         }
-        d.ring_doorbell(0, 0).expect("doorbell");
+        bell(&mut d, 0);
         d.post_ready(500, 0);
-        let cqes = d.reap(0, usize::MAX);
+        let cqes = reap_all(&mut d, 0);
         assert_eq!(cqes.len(), 4);
         let s = d.stats();
         assert_eq!(s.irqs, 1, "one interrupt served four completions");
@@ -691,7 +725,7 @@ mod tests {
     fn reset_timing_clears_queue_state() {
         let mut d = dev(100, 1);
         d.submit(0, read_cmd(1, 0)).expect("submit");
-        d.ring_doorbell(0, 0).expect("doorbell");
+        bell(&mut d, 0);
         d.reset_timing();
         assert_eq!(d.outstanding(0), 0);
         assert_eq!(d.cq_backlog(0), 0);
@@ -706,16 +740,16 @@ mod tests {
             d.submit(0, read_cmd(i, i)).expect("enqueue");
         }
         // Doorbell at t=0: two complete at 500, the third at 1_000.
-        d.ring_doorbell(0, 0).expect("doorbell");
+        bell(&mut d, 0);
         d.post_ready(500, 0);
         assert_eq!(d.stats().cq_backlog_hwm, 2, "two CQEs sat un-reaped");
         // Reap the pair late, at t=700: lag = 700ns each from the t=0
         // doorbell.
-        assert_eq!(d.reap_at(700, 0, usize::MAX).len(), 2);
+        assert_eq!(reap_all(&mut d, 700).len(), 2);
         assert_eq!(d.stats().reap_lag_ns, 1_400);
         d.post_ready(1_000, 0);
         assert_eq!(d.stats().cq_backlog_hwm, 2, "hwm is sticky");
-        assert_eq!(d.reap_at(1_000, 0, usize::MAX).len(), 1);
+        assert_eq!(reap_all(&mut d, 1_000).len(), 1);
         assert_eq!(d.stats().reap_lag_ns, 2_400);
         d.record_empty_poll();
         d.note_cq_backlog(9);
@@ -726,6 +760,77 @@ mod tests {
         let s = d.stats();
         assert_eq!((s.empty_polls, s.cq_backlog_hwm, s.reap_lag_ns), (0, 0, 0));
         assert_eq!(s, DeviceStats::default());
+    }
+
+    #[test]
+    fn p5800x_queue_pair_admits_depth_minus_one_and_stays_fifo() {
+        // The real profile's depth, serviced on one constant-latency
+        // channel so completion order is submission order.
+        let profile = DeviceProfile {
+            read_latency: LatencyDist::Constant(1_000),
+            channels: 1,
+            ..DeviceProfile::optane_gen2_p5800x()
+        };
+        assert_eq!(profile.queue_depth, 4096);
+        let mut d = NvmeDevice::new(profile, 1, SimRng::seed(3));
+        assert_eq!(d.queue_capacity(), 4095);
+        let mut cid = 0;
+        let mut now = 0;
+        for wrap in 0..3u64 {
+            for _ in 0..4095 {
+                d.submit(0, read_cmd(cid, cid)).expect("within capacity");
+                cid += 1;
+            }
+            assert_eq!(d.outstanding(0), 4095);
+            assert_eq!(
+                d.submit(0, read_cmd(cid, 0)),
+                Err(QueueError::SubmissionFull)
+            );
+            assert_eq!(d.stats().rejected, wrap + 1);
+            let last = *bell(&mut d, now).last().expect("serviced");
+            assert_eq!(d.post_ready(last, 0), 4095);
+            let cids: Vec<u64> = reap_all(&mut d, last).iter().map(|c| c.cid).collect();
+            let want: Vec<u64> = (wrap * 4095..(wrap + 1) * 4095).collect();
+            assert_eq!(cids, want, "FIFO through wrap {wrap}");
+            assert_eq!(d.outstanding(0), 0);
+            now = last;
+        }
+    }
+
+    #[test]
+    fn fresh_ring_reserves_no_slots() {
+        let r: Ring<NvmeCommand> = Ring::new(DeviceProfile::optane_gen2_p5800x().queue_depth);
+        assert_eq!(r.capacity(), 4095);
+        assert_eq!(r.reserved(), 0);
+    }
+
+    #[test]
+    fn inflight_posts_in_stable_completion_order_across_doorbells() {
+        // Jittered service on many channels: later doorbells often
+        // finish before earlier ones, and instants tie. Posting order
+        // must equal a stable sort of service order by instant.
+        let profile = DeviceProfile {
+            read_latency: LatencyDist::Uniform(1, 4),
+            ..fixed_profile(0, 3)
+        };
+        let mut d = NvmeDevice::new(profile, 1, SimRng::seed(9));
+        let mut served: Vec<(Nanos, u64)> = Vec::new();
+        for (now, batch) in [(0, 3), (1, 2), (2, 1), (2, 1)] {
+            let first = served.len() as u64;
+            for cid in first..first + batch {
+                d.submit(0, read_cmd(cid, cid)).expect("fits");
+            }
+            served.extend(bell(&mut d, now).into_iter().zip(first..));
+        }
+        let mut want = served.clone();
+        want.sort_by_key(|&(t, _)| t);
+        assert_ne!(want, served, "the schedule must reorder something");
+        d.post_ready(Nanos::MAX, 0);
+        let got: Vec<(Nanos, u64)> = reap_all(&mut d, 0)
+            .iter()
+            .map(|c| (c.complete_at, c.cid))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   SSTables), so completions carry genuine data for BPF programs to
 //!   parse;
 //! - [`ring::Ring`] implements the submission/completion queue pairs with
-//!   real head/tail wrap semantics;
+//!   NVMe capacity semantics (`size - 1` usable slots, FIFO), storing
+//!   only the entries a queue actually holds;
 //! - [`device::NvmeDevice`] batch-services queued commands when the
 //!   doorbell rings, overlapping them across parallel channels with
 //!   service times drawn from the profile's latency distribution;

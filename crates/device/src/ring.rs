@@ -1,21 +1,28 @@
-//! Fixed-capacity ring buffers with NVMe head/tail semantics.
+//! Bounded FIFO rings with NVMe capacity semantics.
 //!
-//! Submission and completion queues are circular arrays; the producer
-//! advances `tail`, the consumer advances `head`, and the queue is full
-//! when `tail + 1 == head` (mod size), i.e. one slot is sacrificed, as
-//! in the NVMe specification.
+//! A submission or completion queue of `size` slots holds at most
+//! `size - 1` entries: the NVMe specification sacrifices one slot so
+//! that `head == tail` means empty and `tail + 1 == head` (mod size)
+//! means full. [`Ring`] keeps exactly that contract — capacity
+//! `size - 1`, full at `len + 1 == size`, FIFO order — without modelling
+//! the slot array itself. Entries live in a `VecDeque` that grows only
+//! to the occupancy the ring actually reaches, so a 4096-deep queue
+//! pair that never holds more than a dozen commands costs a dozen
+//! entries of memory, and every push and pop stays in cache.
+
+use std::collections::VecDeque;
 
 /// A bounded FIFO ring.
 #[derive(Debug, Clone)]
 pub struct Ring<T> {
-    slots: Vec<Option<T>>,
-    head: usize,
-    tail: usize,
+    entries: VecDeque<T>,
+    size: usize,
 }
 
 impl<T> Ring<T> {
     /// Creates a ring with capacity `size - 1` (one slot reserved, per
-    /// NVMe full/empty disambiguation).
+    /// NVMe full/empty disambiguation). Reserves no entry storage until
+    /// the first push.
     ///
     /// # Panics
     ///
@@ -23,30 +30,35 @@ impl<T> Ring<T> {
     pub fn new(size: usize) -> Self {
         assert!(size >= 2, "ring needs at least two slots");
         Ring {
-            slots: (0..size).map(|_| None).collect(),
-            head: 0,
-            tail: 0,
+            entries: VecDeque::new(),
+            size,
         }
     }
 
     /// Number of queued entries.
     pub fn len(&self) -> usize {
-        (self.tail + self.slots.len() - self.head) % self.slots.len()
+        self.entries.len()
     }
 
     /// True if no entries are queued.
     pub fn is_empty(&self) -> bool {
-        self.head == self.tail
+        self.entries.is_empty()
     }
 
     /// True if one more push would be rejected.
     pub fn is_full(&self) -> bool {
-        (self.tail + 1) % self.slots.len() == self.head
+        self.entries.len() + 1 == self.size
     }
 
     /// Usable capacity (`size - 1`).
     pub fn capacity(&self) -> usize {
-        self.slots.len() - 1
+        self.size - 1
+    }
+
+    /// Entries the ring has storage reserved for — its high-water
+    /// occupancy so far, never the full `size`.
+    pub fn reserved(&self) -> usize {
+        self.entries.capacity()
     }
 
     /// Enqueues an entry; returns it back if the ring is full.
@@ -54,28 +66,18 @@ impl<T> Ring<T> {
         if self.is_full() {
             return Err(v);
         }
-        self.slots[self.tail] = Some(v);
-        self.tail = (self.tail + 1) % self.slots.len();
+        self.entries.push_back(v);
         Ok(())
     }
 
     /// Dequeues the oldest entry.
     pub fn pop(&mut self) -> Option<T> {
-        if self.is_empty() {
-            return None;
-        }
-        let v = self.slots[self.head].take();
-        self.head = (self.head + 1) % self.slots.len();
-        v
+        self.entries.pop_front()
     }
 
-    /// Drains all queued entries in FIFO order.
-    pub fn drain_all(&mut self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(v) = self.pop() {
-            out.push(v);
-        }
-        out
+    /// Discards every queued entry, keeping the reserved storage.
+    pub fn clear(&mut self) {
+        self.entries.clear();
     }
 }
 
@@ -130,13 +132,28 @@ mod tests {
     }
 
     #[test]
-    fn drain_all_empties() {
+    fn clear_empties_and_keeps_storage() {
         let mut r = Ring::new(8);
         for i in 0..5 {
             r.push(i).expect("push");
         }
-        assert_eq!(r.drain_all(), vec![0, 1, 2, 3, 4]);
+        let reserved = r.reserved();
+        r.clear();
         assert!(r.is_empty());
+        assert_eq!(r.reserved(), reserved);
+    }
+
+    #[test]
+    fn storage_grows_with_occupancy_not_size() {
+        let mut r = Ring::new(4096);
+        assert_eq!(r.reserved(), 0, "a fresh ring reserves nothing");
+        for round in 0..100 {
+            r.push(round).expect("push");
+            r.push(round + 1).expect("push");
+            r.pop();
+            r.pop();
+        }
+        assert!(r.reserved() < 64, "reserved {}", r.reserved());
     }
 
     #[test]

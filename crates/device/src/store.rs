@@ -6,7 +6,7 @@
 //! deep B-trees whose *address space* is large while the host memory
 //! footprint stays proportional to the bytes actually written.
 
-use std::collections::HashMap;
+use bpfstor_sim::IdMap;
 
 /// Logical block (sector) size in bytes. The paper's experiments use
 /// 512 B reads, so one B-tree node = one sector = one NVMe command.
@@ -15,7 +15,9 @@ pub const SECTOR_SIZE: usize = 512;
 /// A sparse array of 512-byte sectors.
 #[derive(Debug, Default)]
 pub struct SectorStore {
-    sectors: HashMap<u64, Box<[u8; SECTOR_SIZE]>>,
+    /// LBAs come from the file system's allocator, never from a caller,
+    /// so they hash with the cheap id hasher.
+    sectors: IdMap<u64, Box<[u8; SECTOR_SIZE]>>,
     reads: u64,
     writes: u64,
 }
@@ -29,11 +31,12 @@ impl SectorStore {
     /// Reads `nlb` sectors starting at `slba` into a fresh buffer.
     pub fn read(&mut self, slba: u64, nlb: u32) -> Vec<u8> {
         self.reads += u64::from(nlb);
-        let mut out = vec![0u8; nlb as usize * SECTOR_SIZE];
+        let len = nlb as usize * SECTOR_SIZE;
+        let mut out = Vec::with_capacity(len);
         for i in 0..nlb as u64 {
-            if let Some(s) = self.sectors.get(&(slba + i)) {
-                let at = i as usize * SECTOR_SIZE;
-                out[at..at + SECTOR_SIZE].copy_from_slice(&s[..]);
+            match self.sectors.get(&(slba + i)) {
+                Some(s) => out.extend_from_slice(&s[..]),
+                None => out.resize(out.len() + SECTOR_SIZE, 0),
             }
         }
         out

@@ -59,9 +59,7 @@
 //! counted in `bytes_rx` but add no modelled latency (the return
 //! direction is calibrated into the sampled wire distribution).
 
-use std::collections::HashMap;
-
-use bpfstor_sim::{LatencyDist, Nanos, SimRng};
+use bpfstor_sim::{IdMap, LatencyDist, Nanos, SimRng};
 
 use crate::device::{NvmeCommand, NvmeCompletion, NvmeDevice, NvmeOp, QueueError};
 use crate::QueuePairId;
@@ -332,7 +330,10 @@ pub struct InitiatorStats {
 
 /// The ring→device hop, as the kernel's NVMe layer sees it.
 ///
-/// Completion instants returned by [`Transport::ring_doorbell`] and
+/// The doorbell and reap entry points append to buffers the caller owns
+/// and reuses, so a steady-state I/O allocates nothing on this hop.
+///
+/// Completion instants appended by [`Transport::ring_doorbell`] and
 /// carried by reaped [`NvmeCompletion`]s are *host-visible* instants:
 /// the local transport reports device completion times, the fabric
 /// transport adds the wire (and marks the added non-device time in
@@ -379,23 +380,35 @@ pub trait Transport {
     ) -> Result<(), QueueError>;
 
     /// Rings the doorbell at `now`: everything queued on `qp` is put in
-    /// motion. Returns the host-visible completion instants (for the
-    /// interrupt timer).
+    /// motion. Appends the host-visible completion instants (for the
+    /// interrupt timer) to `times`.
     ///
     /// # Errors
     ///
     /// [`QueueError::NoSuchQueue`] for bad ids.
-    fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<Vec<Nanos>, QueueError>;
+    fn ring_doorbell(
+        &mut self,
+        now: Nanos,
+        qp: QueuePairId,
+        times: &mut Vec<Nanos>,
+    ) -> Result<(), QueueError>;
 
     /// Posts every completion whose host-visible instant has passed onto
     /// the host completion queue; returns how many were posted.
     fn post_ready(&mut self, now: Nanos, qp: QueuePairId) -> usize;
 
     /// Drains up to `max` posted completions at host-visible time `now`
-    /// (the IRQ handler's or poller's reap), freeing their
+    /// (the IRQ handler's or poller's reap) into `out`, freeing their
     /// slots/credits and accounting each CQE's doorbell→reap gap in
-    /// [`crate::DeviceStats::reap_lag_ns`].
-    fn reap(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> Vec<NvmeCompletion>;
+    /// [`crate::DeviceStats::reap_lag_ns`]. Returns how many were
+    /// drained.
+    fn reap(
+        &mut self,
+        now: Nanos,
+        qp: QueuePairId,
+        max: usize,
+        out: &mut Vec<NvmeCompletion>,
+    ) -> usize;
 
     /// Puts a terminal pushdown response capsule for `initiator` on the
     /// wire at `now`: returns `(host arrival instant, wire nanoseconds)`
@@ -464,16 +477,27 @@ impl Transport for LocalTransport {
         self.dev.submit(qp, cmd)
     }
 
-    fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<Vec<Nanos>, QueueError> {
-        self.dev.ring_doorbell(now, qp)
+    fn ring_doorbell(
+        &mut self,
+        now: Nanos,
+        qp: QueuePairId,
+        times: &mut Vec<Nanos>,
+    ) -> Result<(), QueueError> {
+        self.dev.ring_doorbell(now, qp, times)
     }
 
     fn post_ready(&mut self, now: Nanos, qp: QueuePairId) -> usize {
         self.dev.post_ready(now, qp)
     }
 
-    fn reap(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> Vec<NvmeCompletion> {
-        self.dev.reap_at(now, qp, max)
+    fn reap(
+        &mut self,
+        now: Nanos,
+        qp: QueuePairId,
+        max: usize,
+        out: &mut Vec<NvmeCompletion>,
+    ) -> usize {
+        self.dev.reap(now, qp, max, out)
     }
 
     fn response_capsule(&mut self, _now: Nanos, _initiator: u32) -> Option<(Nanos, Nanos)> {
@@ -539,10 +563,31 @@ pub struct FabricTransport {
     queues: Vec<InitiatorQueue>,
     inits: Vec<InitState>,
     /// cid → owning initiator, for commands in flight.
-    init_of: HashMap<u64, usize>,
+    init_of: IdMap<u64, usize>,
     /// Instant the target's admission server frees up (admission mode).
     admit_free_at: Nanos,
     stats: FabricStats,
+    /// Per-doorbell working storage, emptied after every use and kept
+    /// for the next doorbell so the hot path reuses its allocations.
+    scratch: DoorbellScratch,
+}
+
+/// Reused buffers of [`FabricTransport::ring_doorbell`].
+#[derive(Default)]
+struct DoorbellScratch {
+    /// The queue pair's submissions taken for this doorbell.
+    batch: Vec<(NvmeCommand, SubmitClass, usize)>,
+    /// cid → (outbound wire ns, response returns to the host, initiator).
+    meta: IdMap<u64, (Nanos, bool, usize)>,
+    /// Command capsules on the wire: `(arrival, initiator, cmd)`.
+    crossed: Vec<(Nanos, usize, NvmeCommand)>,
+    /// Commands reaching the target's rings: `(instant, cmd)`.
+    arrivals: Vec<(Nanos, NvmeCommand)>,
+    /// Target-side completion instants, discarded: the eager drain
+    /// recomputes the host-visible ones.
+    times: Vec<Nanos>,
+    /// The target's completions, drained eagerly.
+    cqes: Vec<NvmeCompletion>,
 }
 
 /// Command-capsule size: fixed header plus any in-capsule data payload.
@@ -583,9 +628,10 @@ impl FabricTransport {
             rng,
             queues,
             inits,
-            init_of: HashMap::new(),
+            init_of: IdMap::default(),
             admit_free_at: 0,
             stats: FabricStats::default(),
+            scratch: DoorbellScratch::default(),
         }
     }
 
@@ -653,16 +699,17 @@ impl FabricTransport {
         total
     }
 
-    /// Runs one doorbell batch's command capsules through the
-    /// target-side admission server: a serial server (`admit_ns` per
-    /// capsule) releasing queued capsules by weighted round-robin
-    /// between initiators. Returns `(admit instant, command)` in
-    /// admission order. Entries are `(wire arrival, initiator, cmd)`.
+    /// Runs one doorbell batch's command capsules (`waiting`, entries
+    /// `(wire arrival, initiator, cmd)`) through the target-side
+    /// admission server: a serial server (`admit_ns` per capsule)
+    /// releasing queued capsules by weighted round-robin between
+    /// initiators. Drains `waiting`, appending `(admit instant, command)`
+    /// to `out` in admission order.
     fn admit(
         &mut self,
-        mut waiting: Vec<(Nanos, usize, NvmeCommand)>,
-    ) -> Vec<(Nanos, NvmeCommand)> {
-        let mut out = Vec::with_capacity(waiting.len());
+        waiting: &mut Vec<(Nanos, usize, NvmeCommand)>,
+        out: &mut Vec<(Nanos, NvmeCommand)>,
+    ) {
         while !waiting.is_empty() {
             let earliest = waiting.iter().map(|(at, ..)| *at).min().expect("nonempty");
             let t = self.admit_free_at.max(earliest);
@@ -682,7 +729,6 @@ impl FabricTransport {
             self.admit_free_at = t + self.cfg.admit_ns;
             out.push((t, cmd));
         }
-        out
     }
 }
 
@@ -759,27 +805,30 @@ impl Transport for FabricTransport {
         Ok(())
     }
 
-    fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<Vec<Nanos>, QueueError> {
+    fn ring_doorbell(
+        &mut self,
+        now: Nanos,
+        qp: QueuePairId,
+        times: &mut Vec<Nanos>,
+    ) -> Result<(), QueueError> {
         if qp >= self.queues.len() {
             return Err(QueueError::NoSuchQueue);
         }
-        let batch = std::mem::take(&mut self.queues[qp].sq);
-        if batch.is_empty() {
-            return Ok(Vec::new());
+        if self.queues[qp].sq.is_empty() {
+            return Ok(());
         }
+        let mut sc = std::mem::take(&mut self.scratch);
+        std::mem::swap(&mut sc.batch, &mut self.queues[qp].sq);
         // Each command capsule crosses the wire on its own (NVMe-oF has
         // no doorbells on the fabric); jitter may reorder a batch, so
-        // capsules hit the target's rings in arrival order.
-        let mut meta: HashMap<u64, (Nanos, bool, usize)> = HashMap::new(); // cid → (outbound, returns, init)
-        let mut direct: Vec<(Nanos, NvmeCommand)> = Vec::new();
-        let mut crossed: Vec<(Nanos, usize, NvmeCommand)> = Vec::new();
-        for (cmd, class, init) in batch {
+        // capsules hit the target's rings in arrival order. Target-local
+        // submissions are already there: no wire, no admission.
+        for (cmd, class, init) in sc.batch.drain(..) {
             match class {
                 SubmitClass::TargetLocal => {
-                    // Already on the target: no wire, no admission.
                     self.stats.target_local += 1;
-                    meta.insert(cmd.cid, (0, false, init));
-                    direct.push((now, cmd));
+                    sc.meta.insert(cmd.cid, (0, false, init));
+                    sc.arrivals.push((now, cmd));
                 }
                 SubmitClass::Host | SubmitClass::PushdownStart => {
                     self.stats.capsules_sent += 1;
@@ -791,37 +840,41 @@ impl Transport for FabricTransport {
                         is.bytes_tx += bytes;
                     }
                     let outbound = self.crossing(true, bytes.saturating_sub(CMD_CAPSULE_HDR), init);
-                    meta.insert(
+                    sc.meta.insert(
                         cmd.cid,
                         (outbound, matches!(class, SubmitClass::Host), init),
                     );
-                    crossed.push((now + outbound, init, cmd));
+                    sc.crossed.push((now + outbound, init, cmd));
                 }
             }
         }
-        let mut arrivals: Vec<(Nanos, NvmeCommand)> = direct;
         if self.cfg.admit_ns == 0 {
-            arrivals.extend(crossed.into_iter().map(|(at, _, cmd)| (at, cmd)));
+            sc.arrivals
+                .extend(sc.crossed.drain(..).map(|(at, _, cmd)| (at, cmd)));
         } else {
-            arrivals.extend(self.admit(crossed));
+            self.admit(&mut sc.crossed, &mut sc.arrivals);
         }
-        arrivals.sort_by_key(|(at, _)| *at);
-        for (arrive, cmd) in arrivals {
+        sc.arrivals.sort_by_key(|(at, _)| *at);
+        for (arrive, cmd) in sc.arrivals.drain(..) {
             self.dev
                 .submit(qp, cmd)
                 .expect("initiator window never exceeds target ring capacity");
             self.dev
-                .ring_doorbell(arrive, qp)
+                .ring_doorbell(arrive, qp, &mut sc.times)
                 .expect("queue pair exists");
         }
+        sc.times.clear();
         // The target's service instants are fixed at its doorbell: drain
         // its completion ring eagerly and compute the host-visible
         // instants (response capsules pay the return wire; target-side
-        // pushdown completions stay at their local instants).
+        // pushdown completions stay at their local instants). The drain
+        // reaps at `now`, no later than any of the batch's target
+        // doorbells, so it adds no reap lag: the host-visible lag is
+        // measured at the initiator's reap instead.
         self.dev.post_ready(Nanos::MAX, qp);
-        let mut times = Vec::new();
-        for mut c in self.dev.reap(qp, usize::MAX) {
-            let (outbound, returns, init) = meta.get(&c.cid).copied().unwrap_or((0, true, 0));
+        self.dev.reap(now, qp, usize::MAX, &mut sc.cqes);
+        for mut c in sc.cqes.drain(..) {
+            let (outbound, returns, init) = sc.meta.get(&c.cid).copied().unwrap_or((0, true, 0));
             let back = if returns {
                 self.stats.responses += 1;
                 self.inits[init].stats.responses += 1;
@@ -835,8 +888,10 @@ impl Transport for FabricTransport {
             times.push(c.complete_at);
             self.queues[qp].pending.push(c);
         }
+        sc.meta.clear();
+        self.scratch = sc;
         self.queues[qp].pending.sort_by_key(|c| c.complete_at);
-        Ok(times)
+        Ok(())
     }
 
     fn post_ready(&mut self, now: Nanos, qp: QueuePairId) -> usize {
@@ -846,34 +901,38 @@ impl Transport for FabricTransport {
         // `pending` is only appended to in ring_doorbell, which leaves
         // it sorted by host-visible instant.
         let take = q.pending.partition_point(|c| c.complete_at <= now);
-        let mut posted: Vec<NvmeCompletion> = q.pending.drain(..take).collect();
-        q.ready.append(&mut posted);
+        q.ready.extend(q.pending.drain(..take));
         let backlog = q.ready.len();
         self.dev.note_cq_backlog(backlog);
         take
     }
 
-    fn reap(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> Vec<NvmeCompletion> {
+    fn reap(
+        &mut self,
+        now: Nanos,
+        qp: QueuePairId,
+        max: usize,
+        out: &mut Vec<NvmeCompletion>,
+    ) -> usize {
         let Some(q) = self.queues.get_mut(qp) else {
-            return Vec::new();
+            return 0;
         };
         let take = q.ready.len().min(max);
-        let out: Vec<NvmeCompletion> = q.ready.drain(..take).collect();
-        q.outstanding -= out.len();
-        for c in &out {
-            if let Some(idx) = self.init_of.remove(&c.cid) {
-                self.inits[idx].outstanding = self.inits[idx].outstanding.saturating_sub(1);
-            }
-        }
+        let start = out.len();
+        out.extend(q.ready.drain(..take));
+        q.outstanding -= take;
         // The initiator is where the host observes the gap: the target's
         // eager drain in `ring_doorbell` reaps at service time, so the
         // meaningful doorbell→reap lag is measured here.
-        let lag: Nanos = out
-            .iter()
-            .map(|c| now.saturating_sub(c.rang_at))
-            .fold(0, Nanos::saturating_add);
+        let mut lag: Nanos = 0;
+        for c in &out[start..] {
+            if let Some(idx) = self.init_of.remove(&c.cid) {
+                self.inits[idx].outstanding = self.inits[idx].outstanding.saturating_sub(1);
+            }
+            lag = lag.saturating_add(now.saturating_sub(c.rang_at));
+        }
         self.dev.note_reap_lag(lag);
-        out
+        take
     }
 
     fn response_capsule(&mut self, now: Nanos, initiator: u32) -> Option<(Nanos, Nanos)> {
@@ -980,6 +1039,22 @@ mod tests {
         }
     }
 
+    /// Rings queue pair 0's doorbell at `now`; returns the batch's
+    /// host-visible completion instants.
+    fn bell(t: &mut dyn Transport, now: Nanos) -> Vec<Nanos> {
+        let mut times = Vec::new();
+        t.ring_doorbell(now, 0, &mut times).expect("bell");
+        times
+    }
+
+    /// Reaps everything posted on queue pair 0 at `now`.
+    fn reap_all(t: &mut dyn Transport, now: Nanos) -> Vec<NvmeCompletion> {
+        let mut out = Vec::new();
+        let n = t.reap(now, 0, usize::MAX, &mut out);
+        assert_eq!(n, out.len());
+        out
+    }
+
     fn fabric(one_way: Nanos) -> FabricTransport {
         FabricTransport::new(dev(8), link(one_way), SimRng::seed(1))
     }
@@ -992,13 +1067,15 @@ mod tests {
             t.submit(0, read_cmd(cid), SubmitClass::Host, 0).expect("t");
             d.submit(0, read_cmd(cid)).expect("d");
         }
-        let tt = t.ring_doorbell(100, 0).expect("t bell");
-        let dt = d.ring_doorbell(100, 0).expect("d bell");
+        let tt = bell(&mut t, 100);
+        let mut dt = Vec::new();
+        d.ring_doorbell(100, 0, &mut dt).expect("d bell");
         assert_eq!(tt, dt, "identical completion instants");
         let at = *tt.last().expect("times");
         assert_eq!(t.post_ready(at, 0), d.post_ready(at, 0));
-        let tc = t.reap(at, 0, usize::MAX);
-        let dc = d.reap_at(at, 0, usize::MAX);
+        let tc = reap_all(&mut t, at);
+        let mut dc = Vec::new();
+        d.reap(at, 0, usize::MAX, &mut dc);
         assert_eq!(tc.len(), dc.len());
         for (a, b) in tc.iter().zip(&dc) {
             assert_eq!(
@@ -1017,10 +1094,10 @@ mod tests {
         let mut t = fabric(10_000);
         t.submit(0, read_cmd(1), SubmitClass::Host, 0)
             .expect("submit");
-        let times = t.ring_doorbell(0, 0).expect("bell");
+        let times = bell(&mut t, 0);
         assert_eq!(times, vec![10_000 + SVC + 10_000]);
         assert_eq!(t.post_ready(23_000, 0), 1);
-        let c = t.reap(23_000, 0, usize::MAX).pop().expect("cqe");
+        let c = reap_all(&mut t, 23_000).pop().expect("cqe");
         assert_eq!(c.fabric_ns, 20_000);
         assert_eq!(c.complete_at, 23_000);
         let s = t.fabric_stats();
@@ -1033,10 +1110,10 @@ mod tests {
         let mut t = fabric(10_000);
         t.submit(0, read_cmd(1), SubmitClass::PushdownStart, 0)
             .expect("submit");
-        let times = t.ring_doorbell(0, 0).expect("bell");
+        let times = bell(&mut t, 0);
         assert_eq!(times, vec![10_000 + SVC], "completion stays target-side");
         t.post_ready(13_000, 0);
-        let c = t.reap(13_000, 0, usize::MAX).pop().expect("cqe");
+        let c = reap_all(&mut t, 13_000).pop().expect("cqe");
         assert_eq!(c.fabric_ns, 10_000);
         let s = t.fabric_stats();
         assert_eq!((s.capsules_sent, s.responses), (1, 0));
@@ -1047,10 +1124,10 @@ mod tests {
         let mut t = fabric(10_000);
         t.submit(0, read_cmd(1), SubmitClass::TargetLocal, 0)
             .expect("submit");
-        let times = t.ring_doorbell(500, 0).expect("bell");
+        let times = bell(&mut t, 500);
         assert_eq!(times, vec![500 + SVC]);
         t.post_ready(500 + SVC, 0);
-        let c = t.reap(500 + SVC, 0, usize::MAX).pop().expect("cqe");
+        let c = reap_all(&mut t, 500 + SVC).pop().expect("cqe");
         assert_eq!(c.fabric_ns, 0);
         let s = t.fabric_stats();
         assert_eq!((s.capsules_sent, s.target_local, s.wire_ns), (0, 1, 0));
@@ -1079,13 +1156,13 @@ mod tests {
         assert_eq!(t.fabric_stats().capsule_stalls, 1);
         assert_eq!(t.fabric_stats().max_inflight, 2);
         // Credits free at host reap, not at target completion.
-        t.ring_doorbell(0, 0).expect("bell");
+        bell(&mut t, 0);
         t.post_ready(Nanos::MAX, 0);
         assert!(
             !t.can_accept(0, 1, 0, SubmitClass::Host),
             "posted but unreaped still holds credits"
         );
-        assert_eq!(t.reap(10_000, 0, usize::MAX).len(), 2);
+        assert_eq!(reap_all(&mut t, 10_000).len(), 2);
         assert!(t.can_accept(0, 2, 0, SubmitClass::Host));
     }
 
@@ -1104,11 +1181,11 @@ mod tests {
             t.submit(0, read_cmd(cid), SubmitClass::Host, 0)
                 .expect("fits");
         }
-        let times = t.ring_doorbell(0, 0).expect("bell");
+        let times = bell(&mut t, 0);
         assert_eq!(times.len(), 6);
         let horizon = *times.iter().max().expect("nonempty");
         t.post_ready(horizon, 0);
-        let cqes = t.reap(horizon, 0, usize::MAX);
+        let cqes = reap_all(&mut t, horizon);
         let mut cids: Vec<u64> = cqes.iter().map(|c| c.cid).collect();
         cids.sort_unstable();
         assert_eq!(cids, vec![0, 1, 2, 3, 4, 5], "exactly one CQE per SQE");
@@ -1125,7 +1202,7 @@ mod tests {
         let mut t = fabric(5_000);
         t.submit(0, read_cmd(1), SubmitClass::Host, 0)
             .expect("submit");
-        t.ring_doorbell(0, 0).expect("bell");
+        bell(&mut t, 0);
         t.reset_timing();
         assert_eq!(t.outstanding(0), 0);
         assert_eq!(t.fabric_stats(), FabricStats::default());
@@ -1159,7 +1236,7 @@ mod tests {
             .expect("submit");
         t.submit(0, read_cmd(2), SubmitClass::Host, 0)
             .expect("submit");
-        t.ring_doorbell(0, 0).expect("bell");
+        bell(&mut t, 0);
         let s = t.fabric_stats();
         assert_eq!(
             s.bytes_tx,
@@ -1167,7 +1244,7 @@ mod tests {
             "write capsule hauls its payload; read capsule is a header"
         );
         t.post_ready(Nanos::MAX, 0);
-        let cqes = t.reap(Nanos::MAX, 0, usize::MAX);
+        let cqes = reap_all(&mut t, Nanos::MAX);
         assert_eq!(cqes.len(), 2);
         let s = t.fabric_stats();
         let read_payload: u64 = cqes.iter().map(|c| c.data.len() as u64).sum();
@@ -1181,14 +1258,14 @@ mod tests {
         let mut t = FabricTransport::new(dev(8), cfg, SimRng::seed(1));
         t.submit(0, write_cmd(1, 2_048), SubmitClass::Host, 0)
             .expect("submit");
-        let times = t.ring_doorbell(0, 0).expect("bell");
+        let times = bell(&mut t, 0);
         // Write service in the test device is SVC too; outbound crossing
         // gains exactly the 2 KiB serialization.
         assert_eq!(times, vec![10_000 + 2_048 + SVC + 10_000]);
         let mut t2 = fabric(10_000);
         t2.submit(0, read_cmd(1), SubmitClass::Host, 0)
             .expect("submit");
-        let rt = t2.ring_doorbell(0, 0).expect("bell");
+        let rt = bell(&mut t2, 0);
         assert_eq!(
             rt,
             vec![10_000 + SVC + 10_000],
@@ -1219,9 +1296,9 @@ mod tests {
         assert_eq!(per_init[0].capsule_stalls, 1);
         assert_eq!(per_init[1].capsule_stalls, 0);
         // Credits free at reap, per initiator.
-        t.ring_doorbell(0, 0).expect("bell");
+        bell(&mut t, 0);
         t.post_ready(Nanos::MAX, 0);
-        t.reap(Nanos::MAX, 0, usize::MAX);
+        reap_all(&mut t, Nanos::MAX);
         assert!(
             t.can_accept(0, 1, 0, SubmitClass::Host) && t.can_accept(0, 1, 1, SubmitClass::Host)
         );
@@ -1242,7 +1319,7 @@ mod tests {
         t.submit(0, read_cmd(11), SubmitClass::Host, 0).expect("i0");
         t.submit(0, read_cmd(20), SubmitClass::Host, 1).expect("i1");
         t.submit(0, read_cmd(21), SubmitClass::Host, 1).expect("i1");
-        let mut times = t.ring_doorbell(0, 0).expect("bell");
+        let mut times = bell(&mut t, 0);
         times.sort_unstable();
         // All arrive at 1_000; admissions at 1_000..=4_000.
         assert_eq!(
@@ -1258,7 +1335,7 @@ mod tests {
         // 10, 20, 11, 21.)
         let horizon = 4_000 + SVC + 1_000;
         t.post_ready(horizon, 0);
-        let cqes = t.reap(horizon, 0, usize::MAX);
+        let cqes = reap_all(&mut t, horizon);
         let order: Vec<u64> = cqes.iter().map(|c| c.cid).collect();
         assert_eq!(
             order,
@@ -1281,8 +1358,8 @@ mod tests {
                 .expect("b");
         }
         assert_eq!(
-            a.ring_doorbell(0, 0).expect("a"),
-            b.ring_doorbell(0, 0).expect("b"),
+            bell(&mut a, 0),
+            bell(&mut b, 0),
             "multi-initiator attribution alone must not move instants"
         );
     }
@@ -1297,7 +1374,7 @@ mod tests {
                 .expect("fits");
         }
         // 6 in flight, knee 2 → every crossing pays (6-2)*500 = 2_000.
-        let times = t.ring_doorbell(0, 0).expect("bell");
+        let times = bell(&mut t, 0);
         assert!(
             times
                 .iter()
@@ -1309,7 +1386,7 @@ mod tests {
             free.submit(0, read_cmd(cid), SubmitClass::Host, 0)
                 .expect("fits");
         }
-        let base = free.ring_doorbell(0, 0).expect("bell");
+        let base = bell(&mut free, 0);
         assert!(times.iter().max() > base.iter().max());
     }
 
@@ -1321,11 +1398,11 @@ mod tests {
             t.submit(0, read_cmd(cid), SubmitClass::Host, 0)
                 .expect("fits");
         }
-        let times = t.ring_doorbell(0, 0).expect("bell");
+        let times = bell(&mut t, 0);
         assert_eq!(times.len(), 6, "every capsule eventually delivers");
         let horizon = *times.iter().max().expect("nonempty");
         t.post_ready(horizon, 0);
-        let cqes = t.reap(horizon, 0, usize::MAX);
+        let cqes = reap_all(&mut t, horizon);
         let mut cids: Vec<u64> = cqes.iter().map(|c| c.cid).collect();
         cids.sort_unstable();
         assert_eq!(
@@ -1362,9 +1439,6 @@ mod tests {
                 .submit(0, read_cmd(cid), SubmitClass::Host, 0)
                 .expect("a");
         }
-        assert_eq!(
-            plain.ring_doorbell(0, 0).expect("p"),
-            armed.ring_doorbell(0, 0).expect("a")
-        );
+        assert_eq!(bell(&mut plain, 0), bell(&mut armed, 0));
     }
 }

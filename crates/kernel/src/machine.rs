@@ -46,14 +46,13 @@
 //! become *target-resident*: hops recycle on the target and only the
 //! terminal response capsule crosses back ([`Ev::CapsuleRx`]).
 
-use std::collections::{HashMap, HashSet};
-
 use bpfstor_device::device::{NvmeCommand, NvmeOp};
 use bpfstor_device::{
-    DeviceProfile, FabricStats, NvmeDevice, SubmitClass, Transport, TransportConfig, SECTOR_SIZE,
+    DeviceProfile, FabricStats, NvmeCompletion, NvmeDevice, SubmitClass, Transport,
+    TransportConfig, SECTOR_SIZE,
 };
 use bpfstor_fs::{ExtFs, ExtentEvent, PageCache};
-use bpfstor_sim::{Cores, EventQueue, Histogram, Nanos, SimRng};
+use bpfstor_sim::{Cores, EventQueue, Histogram, IdMap, IdSet, Nanos, SimRng};
 use bpfstor_vm::{
     action, compile, verify_bounded, CompiledProg, ExecEngine, ExecEnv, MapSet, Program,
     ResourceBudget, RunCtx, Vm, DEFAULT_INSN_BUDGET, EMIT_MAX, SCRATCH_SIZE,
@@ -249,7 +248,7 @@ struct Install {
 /// attached (running at the hook).
 #[derive(Default)]
 struct ProgTable {
-    progs: HashMap<u32, Install>,
+    progs: IdMap<u32, Install>,
     attached: Option<u32>,
     next_slot: u32,
 }
@@ -480,9 +479,9 @@ pub struct Machine {
     extcache: ExtentCache,
     costs: LayerCosts,
     rng: SimRng,
-    fds: HashMap<Fd, FdState>,
+    fds: IdMap<Fd, FdState>,
     next_fd: Fd,
-    installs: HashMap<Fd, ProgTable>,
+    installs: IdMap<Fd, ProgTable>,
     next_chain_id: u64,
     rearm_retries: u64,
     ops: Vec<Option<Op>>,
@@ -523,12 +522,20 @@ pub struct Machine {
     /// promptly-polled queue as idle and a coalesced one as busy.
     load_peak: Vec<usize>,
     /// In-flight command id → (op slot, segment index).
-    cid_map: HashMap<u64, (usize, usize)>,
+    cid_map: IdMap<u64, (usize, usize)>,
+    /// Completion instants of the current doorbell, reused across
+    /// doorbells.
+    doorbell_times: Vec<Nanos>,
+    /// CQEs of the current reap, reused across reaps.
+    reaped: Vec<NvmeCompletion>,
+    /// Physical segments `(block, sectors)` of the read being planned,
+    /// reused across submissions.
+    read_segs: Vec<(u64, u32)>,
     /// Monotone per-run counter salting the per-chain RNG forks of the
     /// uring path, so every SQE in a batch draws an independent stream.
     rng_streams: u64,
     mutations: Vec<Mutation>,
-    aborting_inos: HashSet<u64>,
+    aborting_inos: IdSet<u64>,
     resubmit_bound: u32,
     /// Engine executing hook programs ([`MachineConfig::exec_engine`]).
     exec_engine: ExecEngine,
@@ -640,9 +647,9 @@ impl Machine {
             extcache: ExtentCache::new(),
             costs: cfg.costs,
             rng,
-            fds: HashMap::new(),
+            fds: IdMap::default(),
             next_fd: 3,
-            installs: HashMap::new(),
+            installs: IdMap::default(),
             next_chain_id: 0,
             rearm_retries: 0,
             ops: Vec::new(),
@@ -668,10 +675,13 @@ impl Machine {
             fair: FairSched::new(nr_queues),
             fair_reap: false,
             load_peak: vec![0; nr_queues],
-            cid_map: HashMap::new(),
+            cid_map: IdMap::default(),
+            doorbell_times: Vec::new(),
+            reaped: Vec::new(),
+            read_segs: Vec::new(),
             rng_streams: 0,
             mutations: Vec::new(),
-            aborting_inos: HashSet::new(),
+            aborting_inos: IdSet::default(),
             resubmit_bound: cfg.resubmit_bound,
             exec_engine: cfg.exec_engine,
             exec_clock: cfg.exec_clock,
@@ -1116,20 +1126,26 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`KernelError::Fs`] on unmapped ranges / failed chains.
+    /// [`KernelError::Fs`] on unmapped ranges / failed chains, and on a
+    /// range too long for one request (more than `u32::MAX` bytes from
+    /// its containing block boundary).
     pub fn read_file(&mut self, ino: u64, off: u64, len: usize) -> Result<Vec<u8>, KernelError> {
         if len == 0 {
             return Ok(Vec::new());
         }
-        let fd = self.sync_fd(ino);
         // The device path reads whole blocks from the containing block
         // boundary: size the request to cover the unaligned head too,
         // then trim to the requested byte range.
         let skip = (off % SECTOR_SIZE as u64) as usize;
+        let span = skip
+            .checked_add(len)
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| KernelError::Fs(format!("read of {len} bytes exceeds a request")))?;
+        let fd = self.sync_fd(ino);
         let spec = ChainSpec::Read(crate::chain::ChainStart {
             fd,
             file_off: off - skip as u64,
-            len: (skip + len) as u32,
+            len: span,
             arg: 0,
         });
         let outcome = self.run_one_shot(spec)?;
@@ -1948,7 +1964,8 @@ impl Machine {
         let op = self.ops[id].as_mut().expect("op");
         let segments = op.wr_segments.take().expect("planned");
         op.segs_pending = segments.len() as u32;
-        op.seg_data = segments.iter().map(|_| None).collect();
+        op.seg_data.clear();
+        op.seg_data.resize(segments.len(), None);
         op.submitted_at = self.now;
         op.ios += segments.len() as u32;
         self.trace.ios += segments.len() as u64;
@@ -2015,7 +2032,8 @@ impl Machine {
         }
         let op = self.ops[id].as_mut().expect("op");
         op.segs_pending = 1;
-        op.seg_data = vec![None];
+        op.seg_data.clear();
+        op.seg_data.push(None);
         op.submitted_at = self.now;
         op.ios += 1;
         self.trace.ios += 1;
@@ -2048,6 +2066,15 @@ impl Machine {
     }
 
     fn submit_read(&mut self, id: usize) {
+        let mut segments = std::mem::take(&mut self.read_segs);
+        segments.clear();
+        self.plan_and_submit_read(id, &mut segments);
+        self.read_segs = segments;
+    }
+
+    /// [`Machine::submit_read`] with the segment list it fills lent by
+    /// the caller.
+    fn plan_and_submit_read(&mut self, id: usize, segments: &mut Vec<(u64, u32)>) {
         let Some(op) = self.ops[id].as_ref() else {
             return;
         };
@@ -2086,7 +2113,7 @@ impl Machine {
                 return;
             }
         }
-        let segments: Vec<(u64, u32)> = if let Some((phys, snap_gen)) = phys_target {
+        if let Some((phys, snap_gen)) = phys_target {
             // Recycled hop: submit to the snapshot's physical target.
             // If the file's extents changed under the snapshot (its
             // unmap generation moved, or the entry died), the recycled
@@ -2097,10 +2124,9 @@ impl Machine {
                 self.fail_submit(id, ChainStatus::Invalidated, true);
                 return;
             }
-            vec![(phys, nblocks as u32)]
+            segments.push((phys, nblocks as u32));
         } else {
             // Translate logical blocks to physical segments via the FS.
-            let mut segments: Vec<(u64, u32)> = Vec::new();
             let mut remaining = nblocks;
             let mut cur = lb;
             while remaining > 0 {
@@ -2118,8 +2144,7 @@ impl Machine {
                 self.fail_submit(id, ChainStatus::IoError, false);
                 return;
             }
-            segments
-        };
+        }
         let qp = thread % self.transport.nr_queues();
         // A request that can never fit the SQ is an I/O error (a real
         // driver would split it; the workloads never get near this).
@@ -2162,7 +2187,8 @@ impl Machine {
         }
         let op = self.ops[id].as_mut().expect("op");
         op.segs_pending = segments.len() as u32;
-        op.seg_data = segments.iter().map(|_| None).collect();
+        op.seg_data.clear();
+        op.seg_data.resize(segments.len(), None);
         op.submitted_at = self.now;
         op.recycled = phys_target.is_some();
         op.phys_target = None;
@@ -2213,14 +2239,14 @@ impl Machine {
         // The MMIO write is issued inline by the submitting path; the
         // charge accounts its CPU time but does not gate the device —
         // service starts at the ring instant.
-        let times = self
-            .transport
-            .ring_doorbell(self.now, qp)
+        self.doorbell_times.clear();
+        self.transport
+            .ring_doorbell(self.now, qp, &mut self.doorbell_times)
             .expect("queue pair exists");
-        if times.is_empty() {
+        if self.doorbell_times.is_empty() {
             return;
         }
-        self.reaper.note_doorbell(qp, &times);
+        self.reaper.note_doorbell(qp, &self.doorbell_times);
         let depth = self.transport.outstanding(qp);
         self.load_peak[qp] = self.load_peak[qp].max(depth);
         self.arm_reap(qp);
@@ -2266,13 +2292,35 @@ impl Machine {
     /// path of every finished request, and re-issue ops parked on
     /// backpressure. Returns how many CQEs were drained.
     fn reap_qp(&mut self, qp: usize, driver: &mut dyn ChainDriver) -> usize {
+        let cqes = self.take_reaped(qp);
+        self.complete_reaped(qp, cqes, driver)
+    }
+
+    /// Posts and drains `qp`'s ready completions into the machine's
+    /// reusable reap buffer, in delivery order, and lends the buffer
+    /// out; [`Machine::complete_reaped`] hands it back.
+    fn take_reaped(&mut self, qp: usize) -> Vec<NvmeCompletion> {
+        let mut cqes = std::mem::take(&mut self.reaped);
         self.transport.post_ready(self.now, qp);
-        let cqes = self.transport.reap(self.now, qp, usize::MAX);
-        let cqes = self.fair_order(qp, cqes);
+        self.transport.reap(self.now, qp, usize::MAX, &mut cqes);
+        self.fair_order(qp, &mut cqes);
+        cqes
+    }
+
+    /// Runs the completion path of every CQE in a reap batch, returns
+    /// the emptied buffer for reuse, and re-issues ops parked on
+    /// backpressure. Returns how many CQEs the batch held.
+    fn complete_reaped(
+        &mut self,
+        qp: usize,
+        mut cqes: Vec<NvmeCompletion>,
+        driver: &mut dyn ChainDriver,
+    ) -> usize {
         let reaped = cqes.len();
-        for c in cqes {
+        for c in cqes.drain(..) {
             self.on_cqe(c, driver);
         }
+        self.reaped = cqes;
         if reaped > 0 {
             // Freed queue slots un-park stalled submissions.
             self.unpark(qp);
@@ -2281,16 +2329,12 @@ impl Machine {
     }
 
     /// Applies weighted deficit-round-robin across tenants to one reap
-    /// batch. Identity (FIFO) unless fair reaping is enabled and the
-    /// batch holds more than one CQE; always a permutation of the
-    /// input, so exactly-once delivery is policy-independent.
-    fn fair_order(
-        &mut self,
-        qp: usize,
-        cqes: Vec<bpfstor_device::NvmeCompletion>,
-    ) -> Vec<bpfstor_device::NvmeCompletion> {
+    /// batch, in place. Identity (FIFO) unless fair reaping is enabled
+    /// and the batch holds more than one CQE; always a permutation of
+    /// the input, so exactly-once delivery is policy-independent.
+    fn fair_order(&mut self, qp: usize, cqes: &mut Vec<NvmeCompletion>) {
         if !self.fair_reap || cqes.len() <= 1 {
-            return cqes;
+            return;
         }
         let tenants: Vec<u32> = cqes
             .iter()
@@ -2302,12 +2346,12 @@ impl Machine {
             })
             .collect();
         let order = self.fair.order(qp, &tenants);
-        let mut slots: Vec<Option<bpfstor_device::NvmeCompletion>> =
-            cqes.into_iter().map(Some).collect();
-        order
-            .into_iter()
-            .map(|i| slots[i].take().expect("DRR order is a permutation"))
-            .collect()
+        let mut slots: Vec<Option<NvmeCompletion>> = cqes.drain(..).map(Some).collect();
+        cqes.extend(
+            order
+                .into_iter()
+                .map(|i| slots[i].take().expect("DRR order is a permutation")),
+        );
     }
 
     /// The completion interrupt: one interrupt entry is charged no
@@ -2317,28 +2361,17 @@ impl Machine {
         if !self.reaper.irq_due(self.now, qp) {
             return; // stale timer — a newer arm (or a mode switch) superseded it
         }
-        let reaped = {
-            self.transport.post_ready(self.now, qp);
-            let cqes = self.transport.reap(self.now, qp, usize::MAX);
-            let cqes = self.fair_order(qp, cqes);
-            if !cqes.is_empty() {
-                // MSI-X affinity: the interrupt lands on the queue
-                // pair's owning core, not on whichever core is idle.
-                let cost = self.costs.irq_entry;
-                let _ = self.charge_on(self.qp_core[qp], cost);
-                self.trace.drv += cost;
-                self.trace.irqs += 1;
-                self.reaper.charge_irq(cost);
-            }
-            let reaped = cqes.len();
-            for c in cqes {
-                self.on_cqe(c, driver);
-            }
-            if reaped > 0 {
-                self.unpark(qp);
-            }
-            reaped
-        };
+        let cqes = self.take_reaped(qp);
+        if !cqes.is_empty() {
+            // MSI-X affinity: the interrupt lands on the queue pair's
+            // owning core, not on whichever core is idle.
+            let cost = self.costs.irq_entry;
+            let _ = self.charge_on(self.qp_core[qp], cost);
+            self.trace.drv += cost;
+            self.trace.irqs += 1;
+            self.reaper.charge_irq(cost);
+        }
+        let reaped = self.complete_reaped(qp, cqes, driver);
         let load = self.sample_load(qp, reaped);
         self.reaper
             .note_reap(self.now, qp, reaped, load, ReapKind::Interrupt);
@@ -2380,11 +2413,12 @@ impl Machine {
         }
     }
 
-    /// One reaped CQE: fill the op's segment slot; when the last
+    /// One reaped CQE: fill the op's segment slot (a single-segment
+    /// request takes the payload as its buffer outright); when the last
     /// segment lands, assemble the buffer, warm the page cache (per
     /// block, buffered non-recycled requests only), and run the
     /// completion path.
-    fn on_cqe(&mut self, c: bpfstor_device::NvmeCompletion, driver: &mut dyn ChainDriver) {
+    fn on_cqe(&mut self, c: NvmeCompletion, driver: &mut dyn ChainDriver) {
         let Some((id, seg)) = self.cid_map.remove(&c.cid) else {
             return;
         };
@@ -2396,7 +2430,11 @@ impl Machine {
         let wire = c.fabric_ns;
         let dev_ns = c.complete_at.saturating_sub(op.submitted_at);
         op.device_ns += dev_ns.saturating_sub(wire);
-        op.seg_data[seg] = Some(c.data);
+        if op.seg_data.len() == 1 {
+            op.data = c.data;
+        } else {
+            op.seg_data[seg] = Some(c.data);
+        }
         op.segs_pending -= 1;
         let host_capsule = self.fabric && !op.remote_pushdown;
         let tenant = op.tenant as usize;
@@ -2424,25 +2462,21 @@ impl Machine {
             return;
         }
         let op = self.ops[id].as_mut().expect("op");
-        let mut data = Vec::with_capacity(
-            op.seg_data
-                .iter()
-                .map(|d| d.as_ref().map_or(0, Vec::len))
-                .sum(),
-        );
-        for d in op.seg_data.drain(..) {
-            data.extend_from_slice(&d.expect("all segments completed"));
+        if op.seg_data.len() > 1 {
+            op.data.clear();
+            for d in &mut op.seg_data {
+                op.data
+                    .extend_from_slice(&d.take().expect("all segments completed"));
+            }
         }
-        op.data = data;
+        op.seg_data.clear();
         // Buffered reads warm the host page cache — except target-
         // resident pushdown completions, whose data lives on the NVMe-oF
         // target and never reached the host.
         if op.kind == OpKind::Read && !op.o_direct && !op.recycled && !op.remote_pushdown {
-            let ino = op.ino;
             let lb = op.file_off / SECTOR_SIZE as u64;
-            let data = op.data.clone();
-            for (i, block) in data.chunks_exact(SECTOR_SIZE).enumerate() {
-                self.pagecache.insert((ino, lb + i as u64), block);
+            for (i, block) in op.data.chunks_exact(SECTOR_SIZE).enumerate() {
+                self.pagecache.insert((op.ino, lb + i as u64), block);
             }
         }
         self.on_device_done(id, driver);
@@ -2887,7 +2921,7 @@ impl Machine {
     /// configured with; a program the compiler declined falls back to
     /// the interpreter and is counted in [`ExecSplit::fallbacks`].
     fn run_hook_program(&mut self, id: usize) -> (Option<ChainStatus>, Option<u64>, u64) {
-        let mut op = self.ops[id].take().expect("op exists");
+        let op = self.ops[id].as_mut().expect("op exists");
         // Tenant budget, engine, and clock are read before the install
         // borrow: the remaining budget follows the tenant's *current*
         // limits, so tightening them mid-stream binds running chains.
@@ -2896,7 +2930,7 @@ impl Machine {
             .map(|b| b.saturating_sub(op.insns_used))
             .unwrap_or(DEFAULT_INSN_BUDGET);
         let engine = self.exec_engine;
-        let clock = self.exec_clock.clone();
+        let clock = self.exec_clock.as_ref();
         let mut compiled_hop = false;
         let result = {
             let install = self
@@ -2905,7 +2939,6 @@ impl Machine {
                 .and_then(|t| t.attached.and_then(|slot| t.progs.get_mut(&slot)));
             let Some(install) = install else {
                 op.status = Some(ChainStatus::VmError("no program attached".to_string()));
-                self.ops[id] = Some(op);
                 return (
                     Some(ChainStatus::VmError("no program attached".to_string())),
                     None,
@@ -2924,7 +2957,7 @@ impl Machine {
                 flags: install.flags,
                 scratch: &mut op.scratch,
             };
-            let t0 = clock.as_ref().map(ExecClock::now);
+            let t0 = clock.map(ExecClock::now);
             let r = match &install.compiled {
                 Some(cp) => {
                     compiled_hop = true;
@@ -2935,7 +2968,7 @@ impl Machine {
                 }
             };
             let elapsed = t0
-                .and_then(|t0| clock.as_ref().map(|c| c.now().saturating_sub(t0)))
+                .and_then(|t0| clock.map(|c| c.now().saturating_sub(t0)))
                 .unwrap_or(0);
             let t = op.tenant as usize;
             if compiled_hop {
@@ -2962,7 +2995,6 @@ impl Machine {
             Err(trap) => {
                 let s = ChainStatus::VmError(trap.to_string());
                 op.status = Some(s.clone());
-                self.ops[id] = Some(op);
                 return (Some(s), None, 0);
             }
             Ok((out, resubmit_to, resubmit_calls)) => {
@@ -2994,7 +3026,6 @@ impl Machine {
             }
         };
         op.status = ret.0.clone();
-        self.ops[id] = Some(op);
         ret
     }
 
@@ -3145,9 +3176,7 @@ impl Machine {
         // User-mode (and remote-initiator) chains may continue from the
         // application; over a fabric every such hop pays a round trip.
         if matches!(op.mode, DispatchMode::User | DispatchMode::Remote) && op.status.is_none() {
-            let data = op.data.clone();
-            let token = op.token;
-            match driver.user_step(thread, &token, &data) {
+            match driver.user_step(thread, &op.token, &op.data) {
                 UserNext::Continue(next_off) => {
                     let op = self.ops[id].as_mut().expect("op");
                     op.file_off = next_off;
@@ -3171,7 +3200,7 @@ impl Machine {
                 }
                 UserNext::Done => {
                     let op = self.ops[id].as_mut().expect("op");
-                    op.status = Some(ChainStatus::Pass(data));
+                    op.status = Some(ChainStatus::Pass(std::mem::take(&mut op.data)));
                 }
             }
         }

@@ -1381,6 +1381,34 @@ fn read_file_handles_unaligned_ranges_spanning_blocks() {
 }
 
 #[test]
+fn read_file_rejects_lengths_a_request_cannot_carry() {
+    // Regression: the request length was `(skip + len) as u32`, so a
+    // length just past 4 GiB wrapped to a short read that succeeded.
+    let mut m = Machine::new(MachineConfig::default());
+    m.create_file("k.db", &[7u8; 2 * SECTOR_SIZE])
+        .expect("create");
+    let ino = m.fs().open("k.db").expect("open");
+    let wrapped = u32::MAX as usize + 1 + SECTOR_SIZE;
+    assert!(
+        matches!(m.read_file(ino, 0, wrapped), Err(KernelError::Fs(_))),
+        "a length past u32::MAX must fail, not wrap"
+    );
+    assert!(
+        matches!(
+            m.read_file(ino, 100, u32::MAX as usize),
+            Err(KernelError::Fs(_))
+        ),
+        "the unaligned head counts toward the request length"
+    );
+    // In range but past the end of the file: an error, as before.
+    assert!(matches!(m.read_file(ino, 0, 4096), Err(KernelError::Fs(_))));
+    assert_eq!(
+        m.read_file(ino, 0, 2 * SECTOR_SIZE).expect("whole file"),
+        vec![7u8; 2 * SECTOR_SIZE]
+    );
+}
+
+#[test]
 fn one_shot_io_leaves_future_mutations_for_the_next_run() {
     // Regression: write_file/read_file between runs must not consume a
     // mutation scheduled for a later simulated instant.

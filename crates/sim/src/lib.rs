@@ -24,11 +24,13 @@
 //! - [`dist`]: latency distributions (constant, uniform, exponential,
 //!   log-normal, bimodal) used by device profiles,
 //! - [`cpu`]: an N-core run-to-completion CPU occupancy model,
-//! - [`stats`]: online statistics and log-bucketed latency histograms.
+//! - [`stats`]: online statistics and log-bucketed latency histograms,
+//! - [`idmap`]: fast deterministic hash maps for program-assigned ids.
 
 pub mod cpu;
 pub mod dist;
 pub mod events;
+pub mod idmap;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -36,6 +38,7 @@ pub mod time;
 pub use cpu::{CoreId, Cores};
 pub use dist::LatencyDist;
 pub use events::EventQueue;
+pub use idmap::{IdMap, IdSet};
 pub use rng::SimRng;
 pub use stats::{Histogram, OnlineStats};
 pub use time::{Nanos, MICROSECOND, MILLISECOND, SECOND};

@@ -214,6 +214,12 @@ impl Histogram {
         self.max
     }
 
+    /// Per-bucket counts, in bucket order (the raw distribution, for
+    /// digests and exact comparisons).
+    pub fn buckets(&self) -> &[u64] {
+        &self.counts
+    }
+
     /// Approximate quantile `q` in `[0, 1]` (0 if empty).
     ///
     /// Exact for the min (`q=0`) and max (`q=1`); otherwise accurate to

@@ -1028,12 +1028,14 @@ proptest! {
                     }
                 }
                 RingAction::Doorbell => {
-                    dev.ring_doorbell(now, 0).expect("qp 0 exists");
+                    dev.ring_doorbell(now, 0, &mut Vec::new()).expect("qp 0 exists");
                 }
                 RingAction::AdvanceAndIrq { ns } => {
                     now += *ns as u64;
                     dev.post_ready(now, 0);
-                    for c in dev.reap(0, usize::MAX) {
+                    let mut cqes = Vec::new();
+                    dev.reap(now, 0, usize::MAX, &mut cqes);
+                    for c in cqes {
                         prop_assert!(in_flight.remove(&c.cid), "one CQE per SQE, no ghosts");
                         prop_assert!(reaped_cids.insert(c.cid), "no duplicate CQE");
                     }
@@ -1051,10 +1053,12 @@ proptest! {
         // (including everything parked) has exactly one CQE.
         let mut guard = 0;
         while dev.outstanding(0) > 0 || !parked.is_empty() {
-            dev.ring_doorbell(now, 0).expect("qp 0");
+            dev.ring_doorbell(now, 0, &mut Vec::new()).expect("qp 0");
             now += 100_000;
             dev.post_ready(now, 0);
-            for c in dev.reap(0, usize::MAX) {
+            let mut cqes = Vec::new();
+                    dev.reap(now, 0, usize::MAX, &mut cqes);
+                    for c in cqes {
                 prop_assert!(in_flight.remove(&c.cid));
                 prop_assert!(reaped_cids.insert(c.cid));
             }
@@ -1164,12 +1168,13 @@ proptest! {
                     }
                 }
                 FabricAction::Doorbell => {
-                    t.ring_doorbell(now, 0).expect("qp 0");
+                    t.ring_doorbell(now, 0, &mut Vec::new()).expect("qp 0");
                 }
                 FabricAction::AdvanceAndReap { ns } => {
                     now += *ns as u64;
                     t.post_ready(now, 0);
-                    let cqes = t.reap(now, 0, usize::MAX);
+                    let mut cqes = Vec::new();
+                    t.reap(now, 0, usize::MAX, &mut cqes);
                     prop_assert!(
                         cqes.windows(2).all(|w| w[0].complete_at <= w[1].complete_at),
                         "host sees completions in host-time order"
@@ -1206,10 +1211,12 @@ proptest! {
         // ones) must produce exactly one host CQE.
         let mut guard = 0;
         while t.outstanding(0) > 0 || !parked.is_empty() {
-            t.ring_doorbell(now, 0).expect("qp 0");
+            t.ring_doorbell(now, 0, &mut Vec::new()).expect("qp 0");
             now += 1_000_000;
             t.post_ready(now, 0);
-            for c in t.reap(now, 0, usize::MAX) {
+            let mut cqes = Vec::new();
+                    t.reap(now, 0, usize::MAX, &mut cqes);
+                    for c in cqes {
                 prop_assert!(in_flight.remove(&c.cid));
                 prop_assert!(reaped_cids.insert(c.cid));
             }
@@ -1316,12 +1323,14 @@ proptest! {
                     }
                 }
                 FabricAction::Doorbell => {
-                    t.ring_doorbell(now, 0).expect("qp 0");
+                    t.ring_doorbell(now, 0, &mut Vec::new()).expect("qp 0");
                 }
                 FabricAction::AdvanceAndReap { ns } => {
                     now += *ns as u64;
                     t.post_ready(now, 0);
-                    for c in t.reap(now, 0, usize::MAX) {
+                    let mut cqes = Vec::new();
+                    t.reap(now, 0, usize::MAX, &mut cqes);
+                    for c in cqes {
                         prop_assert!(c.complete_at <= now, "nothing from the future");
                         prop_assert!(in_flight.remove(&c.cid), "one CQE per SQE");
                         prop_assert!(reaped_cids.insert(c.cid), "no duplicate CQE");
@@ -1335,10 +1344,12 @@ proptest! {
         // matter how many crossings were lost along the way.
         let mut guard = 0;
         while t.outstanding(0) > 0 {
-            t.ring_doorbell(now, 0).expect("qp 0");
+            t.ring_doorbell(now, 0, &mut Vec::new()).expect("qp 0");
             now += 10_000_000;
             t.post_ready(now, 0);
-            for c in t.reap(now, 0, usize::MAX) {
+            let mut cqes = Vec::new();
+                    t.reap(now, 0, usize::MAX, &mut cqes);
+                    for c in cqes {
                 prop_assert!(in_flight.remove(&c.cid));
                 prop_assert!(reaped_cids.insert(c.cid));
             }
