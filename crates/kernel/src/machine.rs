@@ -54,8 +54,8 @@ use bpfstor_device::{
 use bpfstor_fs::{ExtFs, ExtentEvent, PageCache};
 use bpfstor_sim::{Cores, EventQueue, Histogram, IdMap, IdSet, Nanos, SimRng};
 use bpfstor_vm::{
-    action, compile, verify_bounded, CompiledProg, ExecEngine, ExecEnv, MapSet, Program,
-    ResourceBudget, RunCtx, Vm, DEFAULT_INSN_BUDGET, EMIT_MAX, SCRATCH_SIZE,
+    action, compile, verify_bounded, CompiledProg, DecodedProg, ExecEngine, ExecEnv, MapSet,
+    Program, ResourceBudget, RunCtx, DEFAULT_INSN_BUDGET, EMIT_MAX, SCRATCH_SIZE,
 };
 
 use crate::chain::{
@@ -234,14 +234,20 @@ struct FdState {
 }
 
 struct Install {
-    prog: Program,
+    code: HookCode,
     maps: MapSet,
     flags: u32,
-    /// The template-JIT lowering, built once at install when the
-    /// machine's engine is [`ExecEngine::Compiled`]. `None` means the
-    /// compiler declined (or the engine is the interpreter): hops run
-    /// interpreted and, under the compiled engine, count as fallbacks.
-    compiled: Option<CompiledProg>,
+}
+
+/// The form an installed program runs in on every hop, built once at
+/// install.
+enum HookCode {
+    /// Decoded for the interpreter: under [`ExecEngine::Interp`], or
+    /// when the compiler declined the program, in which case the hops
+    /// count as fallbacks.
+    Decoded(DecodedProg),
+    /// The template-JIT lowering, under [`ExecEngine::Compiled`].
+    Compiled(CompiledProg),
 }
 
 /// Per-descriptor program table: several loaded programs, at most one
@@ -871,25 +877,21 @@ impl Machine {
         let maps =
             MapSet::instantiate(&prog.maps).map_err(|e| KernelError::Verifier(e.to_string()))?;
         self.snapshot_extents(st.ino)?;
-        // Lower to the compiled tier up front (install is untimed, like
-        // a real JIT running at load). A decline is not an error — the
-        // hop path falls back to the interpreter and counts it.
+        // Lower or decode up front (install is untimed, like a real JIT
+        // running at load). A compiler decline is not an error — the hop
+        // path falls back to the interpreter and counts it.
         let compiled = match self.exec_engine {
             ExecEngine::Compiled => compile(&prog).ok(),
             ExecEngine::Interp => None,
         };
+        let code = match compiled {
+            Some(cp) => HookCode::Compiled(cp),
+            None => HookCode::Decoded(DecodedProg::new(&prog)),
+        };
         let table = self.installs.entry(fd).or_default();
         let slot = table.next_slot;
         table.next_slot += 1;
-        table.progs.insert(
-            slot,
-            Install {
-                prog,
-                maps,
-                flags,
-                compiled,
-            },
-        );
+        table.progs.insert(slot, Install { code, maps, flags });
         table.attached = Some(slot);
         Ok(ProgHandle { fd, slot })
     }
@@ -2958,14 +2960,12 @@ impl Machine {
                 scratch: &mut op.scratch,
             };
             let t0 = clock.map(ExecClock::now);
-            let r = match &install.compiled {
-                Some(cp) => {
+            let r = match &install.code {
+                HookCode::Compiled(cp) => {
                     compiled_hop = true;
                     cp.run_budgeted(budget, ctx, &mut install.maps, &mut env)
                 }
-                None => {
-                    Vm::with_budget(budget).run(&install.prog, ctx, &mut install.maps, &mut env)
-                }
+                HookCode::Decoded(d) => d.run_budgeted(budget, ctx, &mut install.maps, &mut env),
             };
             let elapsed = t0
                 .and_then(|t0| clock.map(|c| c.now().saturating_sub(t0)))

@@ -4,10 +4,11 @@
 //! ([`crate::verifier::build_cfg`]) and lowers every basic block to a
 //! native Rust closure with its operands pre-decoded: register indices,
 //! sign/zero-extended immediates, access widths, and jump targets are
-//! all resolved at compile time, so the per-instruction interpreter
-//! dispatch (`fetch → decode → match`) disappears from the hot path.
-//! Runs of register-only ALU / endian / `ld_imm64` instructions fuse
-//! further into a single [`Micro`]-op vector retired as a batch — the
+//! all resolved at compile time, as in the interpreter's decoded form.
+//! What the tier adds is block structure: control moves from block to
+//! block, and runs of register-only ALU / endian / `ld_imm64` instructions
+//! fuse into a single [`Micro`]-op vector retired as a batch, in which
+//! adjacent pairs on one register fuse again into one micro-op — the
 //! superinstruction trick of threaded-code compilers — so the
 //! ALU-dominated bodies that pushdown filters and aggregations spend
 //! their cycles in pay neither a boxed-closure dispatch nor a budget
@@ -23,8 +24,8 @@
 //! from them, so the simulation's cost model is bit-for-bit unchanged by
 //! the engine choice; only *measured host CPU* differs. The equivalence
 //! is enforced by sharing the interpreter's primitives ([`alu64`],
-//! [`read_mem`], [`call_helper`], ...) rather than reimplementing them,
-//! and locked by the differential proptest harness in `tests/props.rs`.
+//! [`Mem`], [`call_helper`], ...) rather than reimplementing them, and
+//! locked by the differential proptest harness in `tests/props.rs`.
 //!
 //! Programs the compiler cannot lower are *declined*
 //! ([`CompileError`]) rather than miscompiled; callers fall back to the
@@ -40,19 +41,19 @@ use crate::insn::{
     NUM_REGS, OP_LD_IMM64, REG_FP, SRC_X, STACK_SIZE,
 };
 use crate::interp::{
-    alu32, alu32_total, alu64, alu64_total, build_ctx_buf, call_helper, endian, endian_total,
-    flush_mapvals, jump_taken, load_le, read_mem, write_mem, ExecEnv, MapValSlot, RunCtx,
-    RunOutcome, Trap, CTX_BASE, DEFAULT_INSN_BUDGET, STACK_BASE,
+    alu32, alu32_total, alu64, alu64_total, call_helper, endian, endian_total, flush_mapvals,
+    jump_taken, ExecEnv, Mem, RunCtx, RunOutcome, Trap, CTX_BASE, DEFAULT_INSN_BUDGET, STACK_BASE,
 };
 use crate::maps::MapSet;
-use crate::program::{ctx_off, helper, Program};
+use crate::program::{helper, Program};
 use crate::verifier::{build_cfg, VerifyError};
 
 /// Which execution engine runs installed programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
-    /// The interpreter (`crates/vm/src/interp.rs`): per-instruction
-    /// fetch/decode dispatch with full runtime checking.
+    /// The interpreter (`crates/vm/src/interp.rs`): the program is
+    /// decoded once, then dispatched one op per instruction with full
+    /// runtime checking.
     #[default]
     Interp,
     /// The template JIT in this module, with transparent interpreter
@@ -130,11 +131,7 @@ impl std::error::Error for CompileError {}
 /// compiled analogue of the interpreter loop's locals.
 struct ExecState<'a> {
     reg: [u64; NUM_REGS],
-    stack: [u8; STACK_SIZE],
-    ctx_buf: [u8; ctx_off::SIZE as usize],
-    data: &'a [u8],
-    scratch: &'a mut [u8],
-    mapvals: Vec<MapValSlot>,
+    mem: Mem<'a>,
     maps: &'a mut MapSet,
     env: &'a mut (dyn ExecEnv + 'a),
     retired: u64,
@@ -198,6 +195,12 @@ enum Micro {
     Alu32Imm(u8, usize, u32),
     Alu32Reg(u8, usize, usize),
     End(u8, i32, usize),
+    /// `dst = src <code> imm`: `mov dst, src` fused with the immediate
+    /// ALU64 op on `dst` that follows it.
+    MovAlu64Imm(u8, usize, usize, u64),
+    /// `dst = (dst <c1> imm1) <c2> imm2`: two consecutive immediate
+    /// ALU64 ops on one register, fused.
+    Alu64Imm2(u8, u8, usize, u64, u64),
 }
 
 impl Micro {
@@ -218,7 +221,56 @@ impl Micro {
                 reg[d] = alu32_total(c, reg[d] as u32, reg[s] as u32) as u64
             }
             Micro::End(op, w, d) => reg[d] = endian_total(op, w, reg[d]),
+            Micro::MovAlu64Imm(c, d, s, v) => reg[d] = alu64_total(c, reg[s], v),
+            Micro::Alu64Imm2(c1, c2, d, v1, v2) => {
+                reg[d] = alu64_total(c2, alu64_total(c1, reg[d], v1), v2)
+            }
         }
+    }
+
+    /// The `(code, dst, imm)` of an immediate ALU64 micro-op.
+    fn alu64_imm(&self) -> Option<(u8, usize, u64)> {
+        Some(match *self {
+            Micro::MovImm(d, v) => (ALU_MOV, d, v),
+            Micro::AddImm(d, v) => (ALU_ADD, d, v),
+            Micro::MulImm(d, v) => (ALU_MUL, d, v),
+            Micro::XorImm(d, v) => (ALU_XOR, d, v),
+            Micro::RshImm(d, v) => (ALU_RSH, d, u64::from(v)),
+            Micro::Alu64Imm(c, d, v) => (c, d, v),
+            _ => return None,
+        })
+    }
+}
+
+/// A fused run of micro-ops and the number of instructions it retires,
+/// which exceeds the micro-op count by one per fused pair.
+#[derive(Default)]
+struct Run {
+    ops: Vec<Micro>,
+    insns: u64,
+}
+
+impl Run {
+    /// Appends the micro-op of one instruction, fusing it with the
+    /// previous micro-op when both act on the same `dst`: `mov dst, src`
+    /// then an immediate ALU64 op, or two immediate ALU64 ops. A chain
+    /// of dependent ALU ops is bound by each op storing `dst` to the
+    /// register file and the next loading it back; a fused pair keeps
+    /// the intermediate value in a local.
+    fn push(&mut self, m: Micro) {
+        self.insns += 1;
+        if let (Some(last), Some((code, dst, imm))) = (self.ops.last_mut(), m.alu64_imm()) {
+            let fused = match (*last, last.alu64_imm()) {
+                (Micro::MovReg(d, s), _) if d == dst => Some(Micro::MovAlu64Imm(code, d, s, imm)),
+                (_, Some((c1, d, v1))) if d == dst => Some(Micro::Alu64Imm2(c1, code, d, v1, imm)),
+                _ => None,
+            };
+            if let Some(f) = fused {
+                *last = f;
+                return;
+            }
+        }
+        self.ops.push(m);
     }
 }
 
@@ -273,7 +325,7 @@ fn micro_of(insn: &Insn) -> Option<Micro> {
 /// batch (see [`ExecState::retire_n`] for why that is equivalent).
 enum Step {
     One(StepFn),
-    Fused(Vec<Micro>),
+    Fused(Run),
 }
 
 /// How control leaves a block.
@@ -359,14 +411,9 @@ impl CompiledProg {
         maps: &mut MapSet,
         env: &mut dyn ExecEnv,
     ) -> Result<RunOutcome, Trap> {
-        let ctx_buf = build_ctx_buf(&ctx);
         let mut st = ExecState {
             reg: [0u64; NUM_REGS],
-            stack: [0u8; STACK_SIZE],
-            ctx_buf,
-            data: ctx.data,
-            scratch: ctx.scratch,
-            mapvals: Vec::new(),
+            mem: Mem::new(ctx),
             maps,
             env,
             retired: 0,
@@ -403,15 +450,15 @@ pub fn compile(prog: &Program) -> Result<CompiledProg, CompileError> {
     let n = prog.insns.len();
     let block_of = |slot: usize| cfg.block_at[slot].expect("every slot is owned");
 
-    let flush = |steps: &mut Vec<Step>, pending: &mut Vec<Micro>| {
-        if !pending.is_empty() {
+    let flush = |steps: &mut Vec<Step>, pending: &mut Run| {
+        if pending.insns > 0 {
             steps.push(Step::Fused(std::mem::take(pending)));
         }
     };
     let mut blocks: Vec<BlockFn> = Vec::with_capacity(cfg.blocks.len());
     for b in &cfg.blocks {
         let mut steps: Vec<Step> = Vec::new();
-        let mut pending: Vec<Micro> = Vec::new();
+        let mut pending = Run::default();
         let mut term: Option<Terminator> = None;
         let mut pc = b.start;
         while pc < b.end {
@@ -453,9 +500,9 @@ fn assemble_block(steps: Vec<Step>, term: Terminator) -> BlockFn {
                     st.retire()?;
                     f(st)?;
                 }
-                Step::Fused(ops) => {
-                    st.retire_n(ops.len() as u64)?;
-                    for m in ops {
+                Step::Fused(run) => {
+                    st.retire_n(run.insns)?;
+                    for m in &run.ops {
                         m.apply(&mut st.reg);
                     }
                 }
@@ -470,7 +517,7 @@ fn assemble_block(steps: Vec<Step>, term: Terminator) -> BlockFn {
             }
             Terminator::Exit => {
                 st.retire()?;
-                flush_mapvals(st.maps, &mut st.mapvals)?;
+                flush_mapvals(st.maps, &st.mem.mapvals)?;
                 Ok(BlockExit::Ret(st.reg[0]))
             }
             Terminator::Cond {
@@ -585,23 +632,13 @@ fn lower_step(insn: &Insn, pc: usize) -> Result<StepFn, CompileError> {
                     what: "ldx mode",
                 });
             }
-            let size = access_size(op);
             let off = insn.off as i64 as u64;
-            Ok(Box::new(move |st| {
-                let addr = st.reg[src].wrapping_add(off);
-                let bytes = read_mem(
-                    addr,
-                    size,
-                    pc,
-                    &st.ctx_buf,
-                    st.data,
-                    st.scratch,
-                    &st.stack,
-                    &st.mapvals,
-                )?;
-                st.reg[dst] = load_le(&bytes, size);
-                Ok(())
-            }))
+            Ok(match access_size(op) {
+                1 => lower_ldx::<1>(dst, src, off, pc),
+                2 => lower_ldx::<2>(dst, src, off, pc),
+                4 => lower_ldx::<4>(dst, src, off, pc),
+                _ => lower_ldx::<8>(dst, src, off, pc),
+            })
         }
         CLS_STX | CLS_ST => {
             if op & 0x60 != MODE_MEM {
@@ -616,29 +653,13 @@ fn lower_step(insn: &Insn, pc: usize) -> Result<StepFn, CompileError> {
                 Box::new(move |st| {
                     let addr = st.reg[dst].wrapping_add(off);
                     let value = st.reg[src];
-                    write_mem(
-                        addr,
-                        size,
-                        value,
-                        pc,
-                        st.scratch,
-                        &mut st.stack,
-                        &mut st.mapvals,
-                    )
+                    st.mem.store(addr, size, value, pc)
                 })
             } else {
                 let value = insn.imm as i64 as u64;
                 Box::new(move |st| {
                     let addr = st.reg[dst].wrapping_add(off);
-                    write_mem(
-                        addr,
-                        size,
-                        value,
-                        pc,
-                        st.scratch,
-                        &mut st.stack,
-                        &mut st.mapvals,
-                    )
+                    st.mem.store(addr, size, value, pc)
                 })
             })
         }
@@ -660,18 +681,7 @@ fn lower_step(insn: &Insn, pc: usize) -> Result<StepFn, CompileError> {
             }
             Ok(Box::new(move |st| {
                 st.helper_calls += 1;
-                call_helper(
-                    id,
-                    pc,
-                    &mut st.reg,
-                    &st.ctx_buf,
-                    st.data,
-                    st.scratch,
-                    &st.stack,
-                    st.maps,
-                    &mut st.mapvals,
-                    st.env,
-                )?;
+                call_helper(id, pc, &mut st.reg, &mut st.mem, st.maps, st.env)?;
                 // Helper calls clobber the caller-saved argument
                 // registers, as on real eBPF (and in the interpreter).
                 for r in st.reg.iter_mut().take(6).skip(1) {
@@ -687,12 +697,21 @@ fn lower_step(insn: &Insn, pc: usize) -> Result<StepFn, CompileError> {
     }
 }
 
+/// An `N`-byte load, with the width fixed when the step is lowered.
+fn lower_ldx<const N: usize>(dst: usize, src: usize, off: u64, pc: usize) -> StepFn {
+    Box::new(move |st| {
+        st.reg[dst] = st.mem.load::<N>(st.reg[src].wrapping_add(off), pc)?;
+        Ok(())
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::{Asm, Width};
     use crate::interp::{RecordingEnv, Vm};
     use crate::maps::MapSpec;
+    use crate::program::ctx_off;
 
     fn asm(f: impl FnOnce(&mut Asm)) -> Program {
         let mut a = Asm::new();
@@ -858,6 +877,85 @@ mod tests {
         });
         assert_eq!(run_both(&p, &[], 2).unwrap_err(), Trap::BudgetExceeded);
         run_both(&p, &[], 3).expect("exactly enough budget");
+    }
+
+    #[test]
+    fn fused_pairs_retire_every_instruction() {
+        // `mov r0, 7; mul r0, k` and `mov r9, r0; rsh r9, 17` each fuse
+        // into one micro-op but retire as two instructions.
+        let p = asm(|a| {
+            a.mov64_imm(0, 7)
+                .mul64_imm(0, 0x0100_0193)
+                .xor64_imm(0, 0x5BD1)
+                .mov64_reg(9, 0)
+                .rsh64_imm(9, 17)
+                .add64_reg(0, 9)
+                .exit();
+        });
+        for budget in 0..7 {
+            assert_eq!(run_both(&p, &[], budget).unwrap_err(), Trap::BudgetExceeded);
+        }
+        let out = run_both(&p, &[], 7).expect("exactly enough budget");
+        let v = 7u64.wrapping_mul(0x0100_0193) ^ 0x5BD1;
+        assert_eq!((out.ret, out.insns), (v + (v >> 17), 7));
+    }
+
+    #[test]
+    fn emit_with_huge_length_traps_on_both_engines() {
+        // The length register is reinterpreted as usize::MAX; the read
+        // must fault on the first byte past the stack, not reserve it.
+        let p = asm(|a| {
+            a.mov64_reg(1, 10)
+                .add64_imm(1, -8)
+                .mov64_imm(2, -1)
+                .call(helper::EMIT)
+                .mov64_imm(0, 0)
+                .exit();
+        });
+        let err = run_both(&p, &[], DEFAULT_INSN_BUDGET).unwrap_err();
+        let fp = STACK_BASE + STACK_SIZE as u64;
+        assert_eq!(
+            err,
+            Trap::OutOfBounds {
+                addr: fp,
+                len: 1,
+                pc: 3
+            }
+        );
+
+        // A huge length from inside the block faults at its end; from an
+        // unmapped address, at the address itself.
+        let p = asm(|a| {
+            a.ldx(Width::DW, 1, 1, ctx_off::DATA)
+                .add64_imm(1, 2)
+                .ld_imm64(2, 1 << 40)
+                .call(helper::EMIT)
+                .exit();
+        });
+        let err = run_both(&p, &[7u8; 16], DEFAULT_INSN_BUDGET).unwrap_err();
+        assert_eq!(
+            err,
+            Trap::OutOfBounds {
+                addr: crate::interp::DATA_BASE + 16,
+                len: 1,
+                pc: 4
+            }
+        );
+        let p = asm(|a| {
+            a.mov64_imm(1, 64)
+                .mov64_imm(2, -1)
+                .call(helper::EMIT)
+                .exit();
+        });
+        let err = run_both(&p, &[], DEFAULT_INSN_BUDGET).unwrap_err();
+        assert_eq!(
+            err,
+            Trap::OutOfBounds {
+                addr: 64,
+                len: 1,
+                pc: 2
+            }
+        );
     }
 
     #[test]

@@ -8,13 +8,22 @@
 //! the interpreter keeps them anyway (defense in depth, and they make the
 //! verifier property-testable: *verified programs never trap*).
 //!
+//! A program is decoded once into a [`DecodedProg`]: one compact op per
+//! slot with registers validated, immediates extended, access widths
+//! split out, and jump targets resolved. The kernel decodes at install
+//! and runs the decoded form on every hop; [`Vm::run`] decodes and runs
+//! in one call. Decoding removes per-instruction fetch and decode work
+//! only. Every memory access is still checked at runtime, every
+//! instruction still counts against the budget, and a slot that would
+//! trap still traps when, and only if, it executes.
+//!
 //! Execution cost is returned as the number of instructions retired plus
 //! helper invocations; `bpfstor-kernel` converts that into simulated
 //! nanoseconds when charging the completion path.
 
 use crate::insn::{
-    access_size, imm64_of, ALU_ADD, ALU_AND, ALU_ARSH, ALU_DIV, ALU_END, ALU_LSH, ALU_MOD, ALU_MOV,
-    ALU_MUL, ALU_NEG, ALU_OR, ALU_RSH, ALU_SUB, ALU_XOR, CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32,
+    access_size, imm64_of, Insn, ALU_ADD, ALU_AND, ALU_ARSH, ALU_DIV, ALU_END, ALU_LSH, ALU_MOD,
+    ALU_MOV, ALU_MUL, ALU_NEG, ALU_OR, ALU_RSH, ALU_SUB, ALU_XOR, CLS_ALU, CLS_ALU64, CLS_JMP,
     CLS_LD, CLS_LDX, CLS_ST, CLS_STX, END_TO_BE, JMP_CALL, JMP_EXIT, JMP_JA, JMP_JEQ, JMP_JGE,
     JMP_JGT, JMP_JLE, JMP_JLT, JMP_JNE, JMP_JSET, JMP_JSGE, JMP_JSGT, JMP_JSLE, JMP_JSLT, MODE_MEM,
     NUM_REGS, OP_LD_IMM64, REG_FP, SRC_X, STACK_SIZE,
@@ -196,8 +205,12 @@ pub(crate) struct MapValSlot {
     pub(crate) data: Vec<u8>,
 }
 
-/// The interpreter; owns no program state between runs except the
-/// configurable instruction budget.
+/// The interpreter's entry point for programs that are run once; owns no
+/// program state between runs except the configurable instruction budget.
+///
+/// [`Vm::run`] decodes the program and runs the decoded form. Callers that
+/// run one program many times (the kernel's hook path) build a
+/// [`DecodedProg`] once and run that instead.
 pub struct Vm {
     budget: u64,
 }
@@ -235,183 +248,583 @@ impl Vm {
         maps: &mut MapSet,
         env: &mut dyn ExecEnv,
     ) -> Result<RunOutcome, Trap> {
-        let insns = &prog.insns;
-        let mut reg = [0u64; NUM_REGS];
-        let mut stack = [0u8; STACK_SIZE];
-        let ctx_buf = build_ctx_buf(&ctx);
+        DecodedProg::new(prog).run_budgeted(self.budget, ctx, maps, env)
+    }
+}
 
+/// One decoded instruction slot. Register fields are validated
+/// (`< NUM_REGS`), immediates are extended the way the slot's class
+/// reads them, access widths are split into variants, and jump targets
+/// are slot indices into the decoded program.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    MovImm {
+        dst: u8,
+        imm: u64,
+    },
+    MovReg {
+        dst: u8,
+        src: u8,
+    },
+    AddImm {
+        dst: u8,
+        imm: u64,
+    },
+    AddReg {
+        dst: u8,
+        src: u8,
+    },
+    MulImm {
+        dst: u8,
+        imm: u64,
+    },
+    /// Shift amount pre-masked to `0..64`.
+    LshImm {
+        dst: u8,
+        shift: u32,
+    },
+    Alu64Imm {
+        code: u8,
+        dst: u8,
+        imm: u64,
+    },
+    Alu64Reg {
+        code: u8,
+        dst: u8,
+        src: u8,
+    },
+    Alu32Imm {
+        code: u8,
+        dst: u8,
+        imm: u32,
+    },
+    Alu32Reg {
+        code: u8,
+        dst: u8,
+        src: u8,
+    },
+    /// Byte swap with a validated width.
+    End {
+        op: u8,
+        width: i32,
+        dst: u8,
+    },
+    /// Retires as one instruction and skips the second slot.
+    LdImm64 {
+        dst: u8,
+        imm: u64,
+    },
+    LdxB {
+        dst: u8,
+        src: u8,
+        off: u64,
+    },
+    LdxH {
+        dst: u8,
+        src: u8,
+        off: u64,
+    },
+    LdxW {
+        dst: u8,
+        src: u8,
+        off: u64,
+    },
+    LdxDw {
+        dst: u8,
+        src: u8,
+        off: u64,
+    },
+    St {
+        len: u8,
+        dst: u8,
+        off: u64,
+        imm: u64,
+    },
+    Stx {
+        len: u8,
+        dst: u8,
+        src: u8,
+        off: u64,
+    },
+    Call {
+        id: i32,
+    },
+    Exit,
+    Ja {
+        to: usize,
+    },
+    JeqImm {
+        dst: u8,
+        imm: u64,
+        to: usize,
+    },
+    JneImm {
+        dst: u8,
+        imm: u64,
+        to: usize,
+    },
+    JgtImm {
+        dst: u8,
+        imm: u64,
+        to: usize,
+    },
+    JgtReg {
+        dst: u8,
+        src: u8,
+        to: usize,
+    },
+    JgeReg {
+        dst: u8,
+        src: u8,
+        to: usize,
+    },
+    JmpImm {
+        code: u8,
+        wide: bool,
+        dst: u8,
+        imm: u64,
+        to: usize,
+    },
+    JmpReg {
+        code: u8,
+        wide: bool,
+        dst: u8,
+        src: u8,
+        to: usize,
+    },
+    /// A slot that traps when it executes, after it retires (bad
+    /// register, illegal opcode); indexes [`DecodedProg::faults`].
+    Fault(usize),
+    /// A position outside the program: the slot past the end, or the
+    /// destination of an out-of-range jump. It traps *before* retiring,
+    /// as fetching it fails.
+    Stop(usize),
+}
+
+/// A program decoded once into a compact op per slot, for the
+/// interpreter to run many times.
+///
+/// Decoding validates and extends every operand up front, so the run
+/// loop is a single `match` per instruction. Nothing is proven away:
+/// each access still resolves its region and checks bounds and write
+/// permission, and each instruction still counts against the budget. A
+/// slot that would trap is decoded into a deferred trap raised only if
+/// that slot executes, so traps, their `pc` payloads, and the retired
+/// count at which a budget trap fires are the same as decoding each
+/// instruction at the moment it runs.
+pub struct DecodedProg {
+    /// One op per slot, then the fall-through stop at index `len`, then
+    /// one stop per out-of-range jump.
+    ops: Vec<Op>,
+    /// The traps that [`Op::Fault`] and [`Op::Stop`] raise.
+    faults: Vec<Trap>,
+}
+
+impl std::fmt::Debug for DecodedProg {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DecodedProg")
+            .field("ops", &self.ops.len())
+            .field("faults", &self.faults.len())
+            .finish()
+    }
+}
+
+/// Builds a [`DecodedProg`]: decodes slots and allocates the stop and
+/// fault entries they refer to.
+struct Decoder<'a> {
+    insns: &'a [Insn],
+    /// Ops past the last slot: the fall-through stop, then jump stops.
+    stops: Vec<Op>,
+    faults: Vec<Trap>,
+}
+
+impl Decoder<'_> {
+    fn fault(&mut self, trap: Trap) -> usize {
+        self.faults.push(trap);
+        self.faults.len() - 1
+    }
+
+    /// The op index a jump at `pc` lands on: the slot itself, or a stop
+    /// raising [`Trap::BadJump`] when the slot is outside the program.
+    fn target(&mut self, pc: usize, off: i16) -> usize {
+        let to = pc as i64 + 1 + off as i64;
+        if to >= 0 && (to as usize) < self.insns.len() {
+            return to as usize;
+        }
+        let f = self.fault(Trap::BadJump { pc, to });
+        self.stops.push(Op::Stop(f));
+        self.insns.len() + self.stops.len() - 1
+    }
+
+    /// Decodes the slot at `pc` on its own. `Err` is the trap the slot
+    /// raises when it executes.
+    fn slot(&mut self, pc: usize) -> Result<Op, Trap> {
+        let insn = self.insns[pc];
+        let op = insn.op;
+        if insn.dst as usize >= NUM_REGS || insn.src as usize >= NUM_REGS {
+            return Err(Trap::BadRegister { pc });
+        }
+        let (dst, src) = (insn.dst, insn.src);
+        let code = op & 0xf0;
+        let by_reg = op & SRC_X != 0;
+        let illegal = Trap::IllegalInsn { pc, op };
+        Ok(match insn.class() {
+            CLS_ALU64 => {
+                alu64(op, 0, 0, pc)?;
+                let imm = insn.imm as i64 as u64;
+                match (code, by_reg) {
+                    (ALU_MOV, true) => Op::MovReg { dst, src },
+                    (ALU_ADD, true) => Op::AddReg { dst, src },
+                    (_, true) => Op::Alu64Reg { code, dst, src },
+                    (ALU_MOV, false) => Op::MovImm { dst, imm },
+                    (ALU_ADD, false) => Op::AddImm { dst, imm },
+                    (ALU_MUL, false) => Op::MulImm { dst, imm },
+                    (ALU_LSH, false) => Op::LshImm {
+                        dst,
+                        shift: imm as u32 & 63,
+                    },
+                    (_, false) => Op::Alu64Imm { code, dst, imm },
+                }
+            }
+            CLS_ALU if code == ALU_END => {
+                endian(op, insn.imm, 0, pc)?;
+                Op::End {
+                    op,
+                    width: insn.imm,
+                    dst,
+                }
+            }
+            CLS_ALU => {
+                alu32(op, 0, 0, pc)?;
+                if by_reg {
+                    Op::Alu32Reg { code, dst, src }
+                } else {
+                    Op::Alu32Imm {
+                        code,
+                        dst,
+                        imm: insn.imm as u32,
+                    }
+                }
+            }
+            CLS_LD => {
+                if op != OP_LD_IMM64 {
+                    return Err(illegal);
+                }
+                let Some(hi) = self.insns.get(pc + 1) else {
+                    return Err(illegal);
+                };
+                if hi.op != 0 {
+                    return Err(Trap::IllegalInsn {
+                        pc: pc + 1,
+                        op: hi.op,
+                    });
+                }
+                Op::LdImm64 {
+                    dst,
+                    imm: imm64_of(&insn, hi),
+                }
+            }
+            CLS_LDX => {
+                if op & 0x60 != MODE_MEM {
+                    return Err(illegal);
+                }
+                let off = insn.off as i64 as u64;
+                match access_size(op) {
+                    1 => Op::LdxB { dst, src, off },
+                    2 => Op::LdxH { dst, src, off },
+                    4 => Op::LdxW { dst, src, off },
+                    _ => Op::LdxDw { dst, src, off },
+                }
+            }
+            CLS_ST | CLS_STX => {
+                if op & 0x60 != MODE_MEM {
+                    return Err(illegal);
+                }
+                let len = access_size(op) as u8;
+                let off = insn.off as i64 as u64;
+                if insn.class() == CLS_STX {
+                    Op::Stx { len, dst, src, off }
+                } else {
+                    Op::St {
+                        len,
+                        dst,
+                        off,
+                        imm: insn.imm as i64 as u64,
+                    }
+                }
+            }
+            // CLS_JMP | CLS_JMP32: the only classes left.
+            _ => match code {
+                JMP_CALL => Op::Call { id: insn.imm },
+                JMP_EXIT => Op::Exit,
+                JMP_JA => Op::Ja {
+                    to: self.target(pc, insn.off),
+                },
+                _ => {
+                    jump_taken(code, 0, 0, true).ok_or(illegal)?;
+                    let wide = insn.class() == CLS_JMP;
+                    let to = self.target(pc, insn.off);
+                    match (code, by_reg, wide) {
+                        (JMP_JGT, true, true) => Op::JgtReg { dst, src, to },
+                        (JMP_JGE, true, true) => Op::JgeReg { dst, src, to },
+                        (_, true, _) => Op::JmpReg {
+                            code,
+                            wide,
+                            dst,
+                            src,
+                            to,
+                        },
+                        (_, false, true) => {
+                            let imm = insn.imm as i64 as u64;
+                            match code {
+                                JMP_JEQ => Op::JeqImm { dst, imm, to },
+                                JMP_JNE => Op::JneImm { dst, imm, to },
+                                JMP_JGT => Op::JgtImm { dst, imm, to },
+                                _ => Op::JmpImm {
+                                    code,
+                                    wide,
+                                    dst,
+                                    imm,
+                                    to,
+                                },
+                            }
+                        }
+                        (_, false, false) => Op::JmpImm {
+                            code,
+                            wide,
+                            dst,
+                            imm: insn.imm as u32 as u64,
+                            to,
+                        },
+                    }
+                }
+            },
+        })
+    }
+}
+
+impl DecodedProg {
+    /// Decodes every slot of `prog`. Never fails: a slot that cannot run
+    /// becomes a trap raised when (and only if) it executes.
+    pub fn new(prog: &Program) -> Self {
+        let mut d = Decoder {
+            insns: &prog.insns,
+            stops: Vec::new(),
+            faults: Vec::new(),
+        };
+        let fell = d.fault(Trap::FellThrough);
+        d.stops.push(Op::Stop(fell));
+        let mut ops = Vec::with_capacity(prog.insns.len() + 1);
+        for pc in 0..prog.insns.len() {
+            let op = d.slot(pc).unwrap_or_else(|trap| Op::Fault(d.fault(trap)));
+            ops.push(op);
+        }
+        ops.append(&mut d.stops);
+        DecodedProg {
+            ops,
+            faults: d.faults,
+        }
+    }
+
+    /// Runs with the default instruction budget; the decoded equivalent
+    /// of `Vm::new().run(...)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Trap`] on any runtime fault.
+    pub fn run(
+        &self,
+        ctx: RunCtx<'_>,
+        maps: &mut MapSet,
+        env: &mut dyn ExecEnv,
+    ) -> Result<RunOutcome, Trap> {
+        self.run_budgeted(DEFAULT_INSN_BUDGET, ctx, maps, env)
+    }
+
+    /// Runs with an explicit instruction budget; the decoded equivalent
+    /// of `Vm::with_budget(budget).run(...)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Trap`] on any runtime fault, including
+    /// [`Trap::BudgetExceeded`] when the instruction after the
+    /// `budget`-th would retire.
+    pub fn run_budgeted(
+        &self,
+        budget: u64,
+        ctx: RunCtx<'_>,
+        maps: &mut MapSet,
+        env: &mut dyn ExecEnv,
+    ) -> Result<RunOutcome, Trap> {
+        let mut mem = Mem::new(ctx);
+        // Sixteen entries so that `r & 15` indexes without a bounds
+        // check; decoding keeps every register below NUM_REGS.
+        let mut reg = [0u64; 16];
         reg[1] = CTX_BASE;
         reg[REG_FP as usize] = STACK_BASE + STACK_SIZE as u64;
-
-        let mut mapvals: Vec<MapValSlot> = Vec::new();
+        let ops = &self.ops[..];
         let mut retired: u64 = 0;
         let mut helper_calls: u64 = 0;
         let mut pc: usize = 0;
 
-        macro_rules! check_reg {
-            ($r:expr) => {
-                if $r as usize >= NUM_REGS {
-                    return Err(Trap::BadRegister { pc });
+        macro_rules! r {
+            ($i:expr) => {
+                reg[($i & 15) as usize]
+            };
+        }
+        macro_rules! jump_if {
+            ($cond:expr, $to:expr) => {
+                if $cond {
+                    $to
+                } else {
+                    pc + 1
                 }
             };
         }
 
         loop {
-            let Some(insn) = insns.get(pc) else {
-                return Err(Trap::FellThrough);
-            };
+            // Every path keeps `pc` inside `ops`: slots fall through to
+            // the next slot or to the stop at `len`, and jumps land on a
+            // slot or on a stop.
+            let op = ops[pc];
             retired += 1;
-            if retired > self.budget {
-                return Err(Trap::BudgetExceeded);
+            if retired > budget {
+                // A stop is not an instruction: its trap outranks the
+                // budget, as fetching past the program fails first.
+                return Err(match op {
+                    Op::Stop(f) => self.faults[f].clone(),
+                    _ => Trap::BudgetExceeded,
+                });
             }
-            let op = insn.op;
-            check_reg!(insn.dst);
-            check_reg!(insn.src);
-            let dst = insn.dst as usize;
-            let src = insn.src as usize;
-
-            match insn.class() {
-                CLS_ALU64 => {
-                    let rhs = if op & SRC_X != 0 {
-                        reg[src]
+            pc = match op {
+                Op::MovImm { dst, imm } => {
+                    r!(dst) = imm;
+                    pc + 1
+                }
+                Op::MovReg { dst, src } => {
+                    r!(dst) = r!(src);
+                    pc + 1
+                }
+                Op::AddImm { dst, imm } => {
+                    r!(dst) = r!(dst).wrapping_add(imm);
+                    pc + 1
+                }
+                Op::AddReg { dst, src } => {
+                    r!(dst) = r!(dst).wrapping_add(r!(src));
+                    pc + 1
+                }
+                Op::MulImm { dst, imm } => {
+                    r!(dst) = r!(dst).wrapping_mul(imm);
+                    pc + 1
+                }
+                Op::LshImm { dst, shift } => {
+                    r!(dst) <<= shift;
+                    pc + 1
+                }
+                Op::Alu64Imm { code, dst, imm } => {
+                    r!(dst) = alu64_total(code, r!(dst), imm);
+                    pc + 1
+                }
+                Op::Alu64Reg { code, dst, src } => {
+                    r!(dst) = alu64_total(code, r!(dst), r!(src));
+                    pc + 1
+                }
+                Op::Alu32Imm { code, dst, imm } => {
+                    r!(dst) = alu32_total(code, r!(dst) as u32, imm) as u64;
+                    pc + 1
+                }
+                Op::Alu32Reg { code, dst, src } => {
+                    r!(dst) = alu32_total(code, r!(dst) as u32, r!(src) as u32) as u64;
+                    pc + 1
+                }
+                Op::End { op, width, dst } => {
+                    r!(dst) = endian_total(op, width, r!(dst));
+                    pc + 1
+                }
+                Op::LdImm64 { dst, imm } => {
+                    r!(dst) = imm;
+                    pc + 2
+                }
+                Op::LdxB { dst, src, off } => {
+                    r!(dst) = mem.load::<1>(r!(src).wrapping_add(off), pc)?;
+                    pc + 1
+                }
+                Op::LdxH { dst, src, off } => {
+                    r!(dst) = mem.load::<2>(r!(src).wrapping_add(off), pc)?;
+                    pc + 1
+                }
+                Op::LdxW { dst, src, off } => {
+                    r!(dst) = mem.load::<4>(r!(src).wrapping_add(off), pc)?;
+                    pc + 1
+                }
+                Op::LdxDw { dst, src, off } => {
+                    r!(dst) = mem.load::<8>(r!(src).wrapping_add(off), pc)?;
+                    pc + 1
+                }
+                Op::St { len, dst, off, imm } => {
+                    mem.store(r!(dst).wrapping_add(off), len as usize, imm, pc)?;
+                    pc + 1
+                }
+                Op::Stx { len, dst, src, off } => {
+                    mem.store(r!(dst).wrapping_add(off), len as usize, r!(src), pc)?;
+                    pc + 1
+                }
+                Op::Call { id } => {
+                    helper_calls += 1;
+                    call_helper(id, pc, &mut reg, &mut mem, maps, env)?;
+                    // Helper calls clobber the caller-saved argument
+                    // registers, as on real eBPF.
+                    reg[1..6].fill(0);
+                    pc + 1
+                }
+                Op::Exit => {
+                    flush_mapvals(maps, &mem.mapvals)?;
+                    return Ok(RunOutcome {
+                        ret: reg[0],
+                        insns: retired,
+                        helper_calls,
+                    });
+                }
+                Op::Ja { to } => to,
+                Op::JeqImm { dst, imm, to } => jump_if!(r!(dst) == imm, to),
+                Op::JneImm { dst, imm, to } => jump_if!(r!(dst) != imm, to),
+                Op::JgtImm { dst, imm, to } => jump_if!(r!(dst) > imm, to),
+                Op::JgtReg { dst, src, to } => jump_if!(r!(dst) > r!(src), to),
+                Op::JgeReg { dst, src, to } => jump_if!(r!(dst) >= r!(src), to),
+                Op::JmpImm {
+                    code,
+                    wide,
+                    dst,
+                    imm,
+                    to,
+                } => {
+                    let a = if wide { r!(dst) } else { r!(dst) as u32 as u64 };
+                    jump_if!(jump_taken(code, a, imm, wide) == Some(true), to)
+                }
+                Op::JmpReg {
+                    code,
+                    wide,
+                    dst,
+                    src,
+                    to,
+                } => {
+                    let (a, b) = if wide {
+                        (r!(dst), r!(src))
                     } else {
-                        insn.imm as i64 as u64
+                        (r!(dst) as u32 as u64, r!(src) as u32 as u64)
                     };
-                    reg[dst] = alu64(op, reg[dst], rhs, pc)?;
+                    jump_if!(jump_taken(code, a, b, wide) == Some(true), to)
                 }
-                CLS_ALU => {
-                    if op & 0xf0 == ALU_END {
-                        reg[dst] = endian(op, insn.imm, reg[dst], pc)?;
-                    } else {
-                        let rhs = if op & SRC_X != 0 {
-                            reg[src] as u32
-                        } else {
-                            insn.imm as u32
-                        };
-                        reg[dst] = alu32(op, reg[dst] as u32, rhs, pc)? as u64;
-                    }
-                }
-                CLS_LD => {
-                    if op == OP_LD_IMM64 {
-                        let Some(hi) = insns.get(pc + 1) else {
-                            return Err(Trap::IllegalInsn { pc, op });
-                        };
-                        if hi.op != 0 {
-                            return Err(Trap::IllegalInsn {
-                                pc: pc + 1,
-                                op: hi.op,
-                            });
-                        }
-                        reg[dst] = imm64_of(insn, hi);
-                        pc += 2;
-                        continue;
-                    }
-                    return Err(Trap::IllegalInsn { pc, op });
-                }
-                CLS_LDX => {
-                    if op & 0x60 != MODE_MEM {
-                        return Err(Trap::IllegalInsn { pc, op });
-                    }
-                    let size = access_size(op);
-                    let addr = reg[src].wrapping_add(insn.off as i64 as u64);
-                    let bytes = read_mem(
-                        addr,
-                        size,
-                        pc,
-                        &ctx_buf,
-                        ctx.data,
-                        ctx.scratch,
-                        &stack,
-                        &mapvals,
-                    )?;
-                    reg[dst] = load_le(&bytes, size);
-                }
-                CLS_STX | CLS_ST => {
-                    if op & 0x60 != MODE_MEM {
-                        return Err(Trap::IllegalInsn { pc, op });
-                    }
-                    let size = access_size(op);
-                    let addr = reg[dst].wrapping_add(insn.off as i64 as u64);
-                    let value = if insn.class() == CLS_STX {
-                        reg[src]
-                    } else {
-                        insn.imm as i64 as u64
-                    };
-                    write_mem(addr, size, value, pc, ctx.scratch, &mut stack, &mut mapvals)?;
-                }
-                CLS_JMP | CLS_JMP32 => {
-                    let code = op & 0xf0;
-                    match code {
-                        JMP_CALL => {
-                            helper_calls += 1;
-                            call_helper(
-                                insn.imm,
-                                pc,
-                                &mut reg,
-                                &ctx_buf,
-                                ctx.data,
-                                ctx.scratch,
-                                &stack,
-                                maps,
-                                &mut mapvals,
-                                env,
-                            )?;
-                            // Helper calls clobber the caller-saved argument
-                            // registers, as on real eBPF.
-                            for r in reg.iter_mut().take(6).skip(1) {
-                                *r = 0;
-                            }
-                        }
-                        JMP_EXIT => {
-                            flush_mapvals(maps, &mut mapvals)?;
-                            return Ok(RunOutcome {
-                                ret: reg[0],
-                                insns: retired,
-                                helper_calls,
-                            });
-                        }
-                        JMP_JA => {
-                            pc = jump_target(pc, insn.off, insns.len())?;
-                            continue;
-                        }
-                        _ => {
-                            let (a, b) = if insn.class() == CLS_JMP32 {
-                                let rhs = if op & SRC_X != 0 {
-                                    reg[src] as u32 as u64
-                                } else {
-                                    insn.imm as u32 as u64
-                                };
-                                (reg[dst] as u32 as u64, rhs)
-                            } else {
-                                let rhs = if op & SRC_X != 0 {
-                                    reg[src]
-                                } else {
-                                    insn.imm as i64 as u64
-                                };
-                                (reg[dst], rhs)
-                            };
-                            let wide = insn.class() == CLS_JMP;
-                            let taken =
-                                jump_taken(code, a, b, wide).ok_or(Trap::IllegalInsn { pc, op })?;
-                            if taken {
-                                pc = jump_target(pc, insn.off, insns.len())?;
-                                continue;
-                            }
-                        }
-                    }
-                }
-                _ => return Err(Trap::IllegalInsn { pc, op }),
-            }
-            pc += 1;
+                Op::Fault(f) | Op::Stop(f) => return Err(self.faults[f].clone()),
+            };
         }
     }
 }
 
 /// Builds the synthetic context block the program reads through `r1`:
 /// the data/scratch pointers point into their synthetic regions so the
-/// bounds encoded here match what [`read_mem`]/[`write_mem`] enforce.
-/// Shared verbatim by the interpreter and the compiled engine.
-pub(crate) fn build_ctx_buf(ctx: &RunCtx<'_>) -> [u8; ctx_off::SIZE as usize] {
+/// bounds encoded here match what [`Mem`] enforces.
+fn build_ctx_buf(ctx: &RunCtx<'_>) -> [u8; ctx_off::SIZE as usize] {
     let mut ctx_buf = [0u8; ctx_off::SIZE as usize];
     let data_len = ctx.data.len() as u64;
     let scratch_len = ctx.scratch.len() as u64;
@@ -433,111 +846,127 @@ pub(crate) fn build_ctx_buf(ctx: &RunCtx<'_>) -> [u8; ctx_off::SIZE as usize] {
     ctx_buf
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn read_mem(
-    addr: u64,
-    len: usize,
-    pc: usize,
-    ctx_buf: &[u8],
-    data: &[u8],
-    scratch: &[u8],
-    stack: &[u8],
-    mapvals: &[MapValSlot],
-) -> Result<[u8; 8], Trap> {
-    let oob = Trap::OutOfBounds { addr, len, pc };
-    let region = addr & REGION_MASK;
-    let slice: &[u8] = match region {
-        CTX_BASE => ctx_buf,
-        DATA_BASE => data,
-        SCRATCH_BASE => scratch,
-        STACK_BASE => stack,
-        MAPVAL_BASE => {
-            let slot = ((addr >> 32) & 0xFFF) as usize;
-            let sl = mapvals.get(slot).ok_or(oob.clone())?;
-            let off = (addr & 0xFFFF_FFFF) as usize;
-            return copy_checked(&sl.data, off, len).ok_or(oob);
-        }
-        _ => return Err(oob),
-    };
-    let off = (addr - region) as usize;
-    copy_checked(slice, off, len).ok_or(Trap::OutOfBounds { addr, len, pc })
+/// Everything a running program can address: the context block, the
+/// completed block, the chain scratch, the stack, and the shadow copies
+/// of map values the program looked up. Shared verbatim by the
+/// interpreter and the compiled engine, so both check memory the same
+/// way.
+pub(crate) struct Mem<'a> {
+    ctx_buf: [u8; ctx_off::SIZE as usize],
+    data: &'a [u8],
+    scratch: &'a mut [u8],
+    stack: [u8; STACK_SIZE],
+    pub(crate) mapvals: Vec<MapValSlot>,
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn write_mem(
-    addr: u64,
-    len: usize,
-    value: u64,
-    pc: usize,
-    scratch: &mut [u8],
-    stack: &mut [u8],
-    mapvals: &mut [MapValSlot],
-) -> Result<(), Trap> {
-    let region = addr & REGION_MASK;
-    let slice: &mut [u8] = match region {
-        CTX_BASE | DATA_BASE => return Err(Trap::WriteToReadOnly { addr, pc }),
-        SCRATCH_BASE => scratch,
-        STACK_BASE => stack,
-        MAPVAL_BASE => {
-            let slot = ((addr >> 32) & 0xFFF) as usize;
-            let sl = mapvals
-                .get_mut(slot)
-                .ok_or(Trap::OutOfBounds { addr, len, pc })?;
-            let off = (addr & 0xFFFF_FFFF) as usize;
-            return store_checked(&mut sl.data, off, len, value).ok_or(Trap::OutOfBounds {
-                addr,
-                len,
-                pc,
-            });
+impl<'a> Mem<'a> {
+    pub(crate) fn new(ctx: RunCtx<'a>) -> Self {
+        Mem {
+            ctx_buf: build_ctx_buf(&ctx),
+            data: ctx.data,
+            scratch: ctx.scratch,
+            stack: [0u8; STACK_SIZE],
+            mapvals: Vec::new(),
         }
-        _ => return Err(Trap::OutOfBounds { addr, len, pc }),
-    };
-    let off = (addr - region) as usize;
-    store_checked(slice, off, len, value).ok_or(Trap::OutOfBounds { addr, len, pc })
-}
-
-/// Reads `len` bytes for a helper's pointer argument from any
-/// readable region.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn read_bytes(
-    addr: u64,
-    len: usize,
-    pc: usize,
-    ctx_buf: &[u8],
-    data: &[u8],
-    scratch: &[u8],
-    stack: &[u8],
-    mapvals: &[MapValSlot],
-) -> Result<Vec<u8>, Trap> {
-    let mut out = Vec::with_capacity(len);
-    // Byte-at-a-time is fine: helper keys/emits are small.
-    for i in 0..len {
-        let b = read_mem(
-            addr + i as u64,
-            1,
-            pc,
-            ctx_buf,
-            data,
-            scratch,
-            stack,
-            mapvals,
-        )?;
-        out.push(b[0]);
     }
-    Ok(out)
+
+    /// The readable bytes of the region `addr` points into, and the
+    /// offset of `addr` in them; `None` for an unmapped address.
+    #[inline]
+    fn region(&self, addr: u64) -> Option<(&[u8], usize)> {
+        let region = addr & REGION_MASK;
+        let bytes: &[u8] = match region {
+            CTX_BASE => &self.ctx_buf,
+            DATA_BASE => self.data,
+            SCRATCH_BASE => self.scratch,
+            STACK_BASE => &self.stack,
+            MAPVAL_BASE => {
+                let slot = self.mapvals.get(((addr >> 32) & 0xFFF) as usize)?;
+                return Some((&slot.data, (addr & 0xFFFF_FFFF) as usize));
+            }
+            _ => return None,
+        };
+        Some((bytes, (addr - region) as usize))
+    }
+
+    /// Loads the `N`-byte little-endian value at `addr`, zero-extended.
+    #[inline]
+    pub(crate) fn load<const N: usize>(&self, addr: u64, pc: usize) -> Result<u64, Trap> {
+        let bytes = self
+            .region(addr)
+            .and_then(|(bytes, off)| bytes.get(off..off.checked_add(N)?));
+        match bytes {
+            Some(b) => {
+                let mut le = [0u8; 8];
+                le[..N].copy_from_slice(b);
+                Ok(u64::from_le_bytes(le))
+            }
+            None => Err(Trap::OutOfBounds { addr, len: N, pc }),
+        }
+    }
+
+    /// Stores the low `len` bytes of `value` at `addr`. The context and
+    /// the completed block are read-only.
+    pub(crate) fn store(
+        &mut self,
+        addr: u64,
+        len: usize,
+        value: u64,
+        pc: usize,
+    ) -> Result<(), Trap> {
+        let region = addr & REGION_MASK;
+        let (bytes, off): (&mut [u8], usize) = match region {
+            CTX_BASE | DATA_BASE => return Err(Trap::WriteToReadOnly { addr, pc }),
+            SCRATCH_BASE => (&mut *self.scratch, (addr - region) as usize),
+            STACK_BASE => (&mut self.stack, (addr - region) as usize),
+            MAPVAL_BASE => match self.mapvals.get_mut(((addr >> 32) & 0xFFF) as usize) {
+                Some(slot) => (&mut slot.data, (addr & 0xFFFF_FFFF) as usize),
+                None => return Err(Trap::OutOfBounds { addr, len, pc }),
+            },
+            _ => return Err(Trap::OutOfBounds { addr, len, pc }),
+        };
+        match off.checked_add(len).and_then(|end| bytes.get_mut(off..end)) {
+            Some(dst) => {
+                dst.copy_from_slice(&value.to_le_bytes()[..len]);
+                Ok(())
+            }
+            None => Err(Trap::OutOfBounds { addr, len, pc }),
+        }
+    }
+
+    /// Borrows `len` bytes at `addr` for a helper's pointer argument.
+    ///
+    /// A helper reads its operand as a run of single bytes, so a fault
+    /// names the first byte outside the region (`len: 1`). A run cannot
+    /// continue into another region: every byte between would have to
+    /// lie past the end of the first one. The faulting byte is therefore
+    /// the first one past the region's readable bytes, and nothing is
+    /// read or allocated beyond them.
+    pub(crate) fn bytes(&self, addr: u64, len: usize, pc: usize) -> Result<&[u8], Trap> {
+        if len == 0 {
+            return Ok(&[]);
+        }
+        let Some((bytes, off)) = self.region(addr) else {
+            return Err(Trap::OutOfBounds { addr, len: 1, pc });
+        };
+        if let Some(b) = off.checked_add(len).and_then(|end| bytes.get(off..end)) {
+            return Ok(b);
+        }
+        let readable = bytes.len().saturating_sub(off);
+        Err(Trap::OutOfBounds {
+            addr: addr + readable as u64,
+            len: 1,
+            pc,
+        })
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn call_helper(
     id: i32,
     pc: usize,
-    reg: &mut [u64; NUM_REGS],
-    ctx_buf: &[u8],
-    data: &[u8],
-    scratch: &[u8],
-    stack: &[u8],
+    reg: &mut [u64],
+    mem: &mut Mem<'_>,
     maps: &mut MapSet,
-    mapvals: &mut Vec<MapValSlot>,
     env: &mut dyn ExecEnv,
 ) -> Result<(), Trap> {
     match id {
@@ -549,22 +978,21 @@ pub(crate) fn call_helper(
             reg[0] = env.resubmit(reg[1]) as u64;
         }
         helper::EMIT => {
-            let len = reg[2] as usize;
-            let bytes = read_bytes(reg[1], len, pc, ctx_buf, data, scratch, stack, mapvals)?;
-            reg[0] = env.emit(&bytes) as u64;
+            let bytes = mem.bytes(reg[1], reg[2] as usize, pc)?;
+            reg[0] = env.emit(bytes) as u64;
         }
         helper::MAP_LOOKUP => {
-            flush_mapvals(maps, mapvals)?;
+            flush_mapvals(maps, &mem.mapvals)?;
             let map_id = reg[1] as u32;
             let key_size = maps.spec(map_id)?.key_size as usize;
-            let key = read_bytes(reg[2], key_size, pc, ctx_buf, data, scratch, stack, mapvals)?;
+            let key = mem.bytes(reg[2], key_size, pc)?.to_vec();
             match maps.lookup(map_id, &key)? {
                 Some(value) => {
-                    let slot = mapvals.len();
+                    let slot = mem.mapvals.len();
                     if slot >= 0x1000 {
                         return Err(Trap::Map(MapError::Full));
                     }
-                    mapvals.push(MapValSlot {
+                    mem.mapvals.push(MapValSlot {
                         map_id,
                         key,
                         data: value.to_vec(),
@@ -575,30 +1003,12 @@ pub(crate) fn call_helper(
             }
         }
         helper::MAP_UPDATE => {
-            flush_mapvals(maps, mapvals)?;
+            flush_mapvals(maps, &mem.mapvals)?;
             let map_id = reg[1] as u32;
             let spec = maps.spec(map_id)?;
-            let key = read_bytes(
-                reg[2],
-                spec.key_size as usize,
-                pc,
-                ctx_buf,
-                data,
-                scratch,
-                stack,
-                mapvals,
-            )?;
-            let value = read_bytes(
-                reg[3],
-                spec.value_size as usize,
-                pc,
-                ctx_buf,
-                data,
-                scratch,
-                stack,
-                mapvals,
-            )?;
-            maps.update(map_id, &key, &value)?;
+            let key = mem.bytes(reg[2], spec.key_size as usize, pc)?;
+            let value = mem.bytes(reg[3], spec.value_size as usize, pc)?;
+            maps.update(map_id, key, value)?;
             reg[0] = 0;
         }
         _ => return Err(Trap::BadHelper { pc, id }),
@@ -609,19 +1019,11 @@ pub(crate) fn call_helper(
 /// Writes live map-value shadow buffers back into their maps so that
 /// later helper calls (and the application, after the run) observe the
 /// program's stores.
-pub(crate) fn flush_mapvals(maps: &mut MapSet, mapvals: &mut [MapValSlot]) -> Result<(), Trap> {
-    for sl in mapvals.iter() {
+pub(crate) fn flush_mapvals(maps: &mut MapSet, mapvals: &[MapValSlot]) -> Result<(), Trap> {
+    for sl in mapvals {
         maps.update(sl.map_id, &sl.key, &sl.data)?;
     }
     Ok(())
-}
-
-pub(crate) fn jump_target(pc: usize, off: i16, len: usize) -> Result<usize, Trap> {
-    let to = pc as i64 + 1 + off as i64;
-    if to < 0 || to as usize >= len {
-        return Err(Trap::BadJump { pc, to });
-    }
-    Ok(to as usize)
 }
 
 pub(crate) fn jump_taken(code: u8, a: u64, b: u64, wide: bool) -> Option<bool> {
@@ -649,9 +1051,10 @@ pub(crate) fn jump_taken(code: u8, a: u64, b: u64, wide: bool) -> Option<bool> {
 /// The total ALU64 function over the *known* opcodes. Every known op is
 /// defined on all inputs (division by zero yields 0, modulo by zero
 /// leaves `lhs`, shift amounts are masked), so callers that have
-/// validated `code` — the fused blocks of the compiled tier — can apply
-/// it without threading a `Result` through the hot loop. Unknown codes
-/// fall through to `lhs` (a no-op); [`alu64`] screens them out first.
+/// validated `code` — decoded ops and the compiled tier's fused blocks —
+/// can apply it without threading a `Result` through the hot loop.
+/// Unknown codes fall through to `lhs` (a no-op); [`alu64`] screens them
+/// out first.
 pub(crate) fn alu64_total(code: u8, lhs: u64, rhs: u64) -> u64 {
     match code {
         ALU_ADD => lhs.wrapping_add(rhs),
@@ -728,33 +1131,6 @@ pub(crate) fn endian(op: u8, width: i32, v: u64, pc: usize) -> Result<u64, Trap>
         16 | 32 | 64 => Ok(endian_total(op, width, v)),
         _ => Err(Trap::IllegalInsn { pc, op }),
     }
-}
-
-fn copy_checked(slice: &[u8], off: usize, len: usize) -> Option<[u8; 8]> {
-    let end = off.checked_add(len)?;
-    if end > slice.len() {
-        return None;
-    }
-    let mut out = [0u8; 8];
-    out[..len].copy_from_slice(&slice[off..end]);
-    Some(out)
-}
-
-fn store_checked(slice: &mut [u8], off: usize, len: usize, value: u64) -> Option<()> {
-    let end = off.checked_add(len)?;
-    if end > slice.len() {
-        return None;
-    }
-    slice[off..end].copy_from_slice(&value.to_le_bytes()[..len]);
-    Some(())
-}
-
-pub(crate) fn load_le(bytes: &[u8; 8], len: usize) -> u64 {
-    let mut v = 0u64;
-    for i in (0..len).rev() {
-        v = (v << 8) | bytes[i] as u64;
-    }
-    v
 }
 
 fn write_u64(buf: &mut [u8], off: usize, v: u64) {

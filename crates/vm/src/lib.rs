@@ -71,7 +71,9 @@ pub mod verifier;
 
 pub use asm::{Asm, Width};
 pub use compile::{compile, CompileError, CompiledProg, ExecEngine};
-pub use interp::{ExecEnv, RecordingEnv, RunCtx, RunOutcome, Trap, Vm, DEFAULT_INSN_BUDGET};
+pub use interp::{
+    DecodedProg, ExecEnv, RecordingEnv, RunCtx, RunOutcome, Trap, Vm, DEFAULT_INSN_BUDGET,
+};
 pub use maps::{MapKind, MapSet, MapSpec};
 pub use program::{action, ctx_off, helper, Program, EMIT_MAX, SCRATCH_SIZE};
 pub use verifier::{

@@ -295,6 +295,53 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+    /// Both engines charge the budget at the same instruction: at every
+    /// budget from 0 to the retired count + 1, a verified program gets
+    /// the same result from the interpreter and the compiled tier —
+    /// `BudgetExceeded` below its retired count, the same `Ok` from it
+    /// on — with the same scratch and helper effects.
+    #[test]
+    fn engines_agree_at_every_budget_boundary(
+        prog in arb_program(),
+        data in proptest::collection::vec(any::<u8>(), 0..64),
+        file_off in any::<u64>(),
+        hop in any::<u32>(),
+    ) {
+        if verify(&prog).is_ok() {
+            let compiled = compile(&prog).expect("verified programs always compile");
+            let run = |budget: u64, use_compiled: bool| {
+                let mut maps = MapSet::instantiate(&prog.maps).expect("maps");
+                let mut env = RecordingEnv::default();
+                let mut scratch = [0u8; 256];
+                let ctx = RunCtx { data: &data, file_off, hop, flags: 0, scratch: &mut scratch };
+                let r = if use_compiled {
+                    compiled.run_budgeted(budget, ctx, &mut maps, &mut env)
+                } else {
+                    Vm::with_budget(budget).run(&prog, ctx, &mut maps, &mut env)
+                };
+                (r, scratch, env.resubmits, env.emitted, env.traces)
+            };
+            let retired = run(u64::MAX, false).0.expect("verified programs never trap").insns;
+            for budget in 0..=retired + 1 {
+                let interp = run(budget, false);
+                let comp = run(budget, true);
+                if budget < retired {
+                    prop_assert_eq!(&interp.0, &Err(Trap::BudgetExceeded), "budget {}", budget);
+                } else {
+                    prop_assert_eq!(interp.0.as_ref().map(|o| o.insns), Ok(retired));
+                }
+                prop_assert_eq!(&interp.0, &comp.0, "budget {}", budget);
+                prop_assert_eq!(&interp.1[..], &comp.1[..], "scratch at budget {}", budget);
+                prop_assert_eq!(&interp.2, &comp.2);
+                prop_assert_eq!(&interp.3, &comp.3);
+                prop_assert_eq!(&interp.4, &comp.4);
+            }
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
     /// Wild instruction streams (unverified, usually trap-inducing):
     /// when the compiler accepts one, both engines must produce the
